@@ -42,6 +42,15 @@ BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,
                            double gamma, parallel::ThreadPool& pool);
 
+/// V(gamma) alone, bit-identical to the pool overload's `utilization` but
+/// without materializing the thresholds: each user's offload rate lands in
+/// `rates` (caller-owned scratch of users.size() slots, so a bisection can
+/// reuse one buffer across steps) and is summed serially in user order.
+double best_response_utilization(std::span<const UserParams> users,
+                                 const EdgeDelay& delay, double capacity,
+                                 double gamma, parallel::ThreadPool& pool,
+                                 std::span<double> rates);
+
 /// Aggregate utilization induced by an arbitrary (not necessarily optimal)
 /// threshold vector: (1/N) * sum a_n * alpha_n(x_n) / c.  This is Algorithm
 /// 1's gamma_{t+1} update (Eq. (6)). Sizes must match; thresholds >= 0.

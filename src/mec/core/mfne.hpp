@@ -37,7 +37,9 @@ struct MfneResult {
 
 /// Finds gamma* with |V(gamma*) crossing| bracketed within
 /// options.tolerance. Requires valid delay, capacity > 0, non-empty users,
-/// and (checked) V(0) < 1.
+/// and (checked) V(0) < 1.  From 2^16 users up, every V(gamma) sweep runs on
+/// a thread pool scoped to this call (joined before it returns); the result
+/// is bit-identical to the serial bisection for any thread count.
 MfneResult solve_mfne(std::span<const UserParams> users, const EdgeDelay& delay,
                       double capacity, const MfneOptions& options = {});
 

@@ -26,9 +26,6 @@ static_assert(sizeof(core::UserParams) == 48 &&
               "UserParams layout drifted; update the population codec and "
               "kUserParamsWireSize together");
 static_assert(kUserParamsWireSize == 48);
-static_assert(sizeof(std::array<std::uint64_t, 4>) == 32,
-              "xoshiro256 state is four words");
-static_assert(kRngStateWireSize == 32);
 static_assert(offsetof(fault::ResolvedAction, time) == 0 &&
                   offsetof(fault::ResolvedAction, kind) == 8 &&
                   offsetof(fault::ResolvedAction, device) == 12 &&
@@ -121,7 +118,7 @@ sim::SamplerSpec decode_sampler_spec(ByteReader& r) {
 
 std::vector<std::uint8_t> encode_population(const WorkerPopulation& pop) {
   const std::size_t slice = pop.users.size();
-  ByteWriter w(96 + slice * (kUserParamsWireSize + kRngStateWireSize) +
+  ByteWriter w(96 + slice * kUserParamsWireSize +
                pop.actions.size() * kResolvedActionWireSize +
                (pop.service.data.size() + pop.latency.data.size()) * 8);
   w.put_u32(pop.rank);
@@ -151,9 +148,6 @@ std::vector<std::uint8_t> encode_population(const WorkerPopulation& pop) {
     w.put_f64(u.energy_offload);
     w.put_f64(u.weight);
   }
-  w.put_u32(static_cast<std::uint32_t>(pop.rng_states.size()));
-  for (const std::array<std::uint64_t, 4>& s : pop.rng_states)
-    for (const std::uint64_t word : s) w.put_u64(word);
   w.put_u32(static_cast<std::uint32_t>(pop.actions.size()));
   for (const fault::ResolvedAction& a : pop.actions) {
     w.put_f64(a.time);
@@ -199,10 +193,6 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
     u.energy_offload = r.get_f64();
     u.weight = r.get_f64();
   }
-  const std::uint32_t n_rngs = r.get_u32();
-  pop.rng_states.resize(n_rngs);
-  for (std::array<std::uint64_t, 4>& s : pop.rng_states)
-    for (std::uint64_t& word : s) word = r.get_u64();
   const std::uint32_t n_actions = r.get_u32();
   pop.actions.resize(n_actions);
   for (fault::ResolvedAction& a : pop.actions) {
@@ -243,12 +233,10 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
   if (pop.device_lo >= pop.device_hi || pop.device_hi > pop.n_devices)
     throw RuntimeError("population frame has an invalid device slice");
   const std::size_t slice = pop.device_hi - pop.device_lo;
-  if (pop.users.size() != slice || pop.rng_states.size() != slice)
+  if (pop.users.size() != slice)
     throw RuntimeError("population frame slice arrays do not match the "
                        "device range (" +
-                       std::to_string(pop.users.size()) + " users, " +
-                       std::to_string(pop.rng_states.size()) + " rng states, "
-                       "expected " +
+                       std::to_string(pop.users.size()) + " users, expected " +
                        std::to_string(slice) + ")");
   if (!pop.with_faults && !pop.actions.empty())
     throw RuntimeError("population frame carries fault actions but "

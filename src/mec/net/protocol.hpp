@@ -15,15 +15,15 @@
 //
 // The population frame carries everything a remote rank needs to rebuild
 // its slice of the run: scenario scalars, sampler specs, the owned slice of
-// user parameters and per-device RNG streams (the *pre-init* snapshots —
-// the worker re-runs init_shard and reproduces the coordinator's draws
-// bit-for-bit), and the full resolved fault plan (outage/capacity state is
-// global; see apply_shard_fault).  Layouts are pinned with static_asserts
+// user parameters, and the full resolved fault plan (outage/capacity state
+// is global; see apply_shard_fault).  Per-device RNG streams are not
+// shipped: the worker derives its slice's pre-init streams from (seed,
+// device_lo) with random::split_streams, re-runs init_shard, and reproduces
+// the coordinator's draws bit-for-bit.  Layouts are pinned with static_asserts
 // in protocol.cpp and golden bytes in tests/test_wire_format.cpp, mirroring
 // the barrier-payload conventions.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -38,14 +38,14 @@ namespace mec::net::wire {
 inline constexpr std::uint32_t kHelloMagic = 0x5443454D;
 
 /// Wire schema revision.  Bump whenever any transport payload layout
-/// changes; the handshake rejects mismatched peers by name.
-inline constexpr std::uint32_t kSchemaRevision = 1;
+/// changes; the handshake rejects mismatched peers by name.  Revision 2
+/// dropped the per-device RNG states from the population frame.
+inline constexpr std::uint32_t kSchemaRevision = 2;
 
 /// Wire sizes pinned by the golden-vector tests.
 inline constexpr std::size_t kHelloWireSize = 16;
 inline constexpr std::size_t kHelloAckWireSize = 12;
 inline constexpr std::size_t kUserParamsWireSize = 48;
-inline constexpr std::size_t kRngStateWireSize = 32;
 inline constexpr std::size_t kResolvedActionWireSize = 29;
 
 struct Hello {
@@ -92,11 +92,10 @@ struct WorkerPopulation {
   bool with_faults = false;
   sim::SamplerSpec service;
   sim::SamplerSpec latency;
-  /// Owned slice only (device_hi - device_lo entries each): per-worker
-  /// network stays O(slice) even though the worker materializes full-size
-  /// arrays for global indexing.
+  /// Owned slice only (device_hi - device_lo entries): per-worker network
+  /// stays O(slice) even though the worker materializes full-size arrays
+  /// for global indexing.
   std::vector<core::UserParams> users;
-  std::vector<std::array<std::uint64_t, 4>> rng_states;
   /// Full resolved schedule — every rank replays the global outage/capacity
   /// timeline (apply_shard_fault touches only owned devices).
   std::vector<fault::ResolvedAction> actions;

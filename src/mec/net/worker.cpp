@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,11 @@ namespace {
 // Arrays are full-size with only the owned slice populated: LegRunner tags
 // barrier views with *global* shard ids and LegContext pointers are indexed
 // by global device id, so a compacted layout would corrupt the merge order.
-// The shipped RNG words are the coordinator's pre-init snapshots
-// (ws.rng_init); re-running init_shard here reproduces the coordinator's
-// initial-arrival draws bit for bit, which is what keeps the streamed
-// .meclog bytes identical to inproc for any worker placement.
+// The slice's streams are derived from (seed, device_lo) exactly as the
+// coordinator split them (its pre-init ws.rng_init); re-running init_shard
+// here reproduces the coordinator's initial-arrival draws bit for bit,
+// which is what keeps the streamed .meclog bytes identical to inproc for
+// any worker placement.
 template <bool WithFaults>
 void serve_rank(int fd, const wire::WorkerPopulation& pop) {
   sim::SimWorkspace::Impl ws;
@@ -36,9 +38,9 @@ void serve_rank(int fd, const wire::WorkerPopulation& pop) {
   std::vector<core::UserParams> users(pop.n_devices);
   for (std::size_t i = 0; i < pop.users.size(); ++i)
     users[pop.device_lo + i] = pop.users[i];
-  for (std::size_t i = 0; i < pop.rng_states.size(); ++i)
-    ws.rngs[pop.device_lo + i] =
-        random::Xoshiro256::from_state(pop.rng_states[i]);
+  const std::size_t slice = pop.device_hi - pop.device_lo;
+  random::split_streams(pop.seed, pop.device_lo,
+                        std::span(ws.rngs).subspan(pop.device_lo, slice));
 
   const bool measuring_from_start = pop.warmup == 0.0;
   ws.shards.resize(pop.shard_count);

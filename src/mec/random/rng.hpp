@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace mec::random {
 
@@ -30,16 +31,22 @@ class Xoshiro256 {
   result_type operator()() noexcept;
 
   /// Equivalent to 2^128 calls of operator(); used to fork independent
-  /// sub-streams for parallel/simulated entities.
+  /// sub-streams for parallel/simulated entities.  Applied as one product
+  /// with the 256x256 GF(2) bit-matrix L of the jump (built once).
   void long_jump() noexcept;
+
+  /// The engine n long_jump() calls ahead of *this.  long_jump is a linear
+  /// map L over GF(2)^256, so this applies L^n as one 256x256 bit-matrix
+  /// product per set bit of n, from lazily built, immutable tables of
+  /// L^(2^k): O(log n) work instead of n * 2^8 engine steps.
+  Xoshiro256 long_jumped(std::uint64_t n) const;
 
   /// Returns a forked engine 2^128 steps ahead, advancing *this as well so a
   /// sequence of split() calls yields pairwise-independent streams.
   Xoshiro256 split() noexcept;
 
-  /// The raw 256-bit engine state, for serialization.  The TCP transport
-  /// ships each device's pre-run stream to its worker as four words;
-  /// from_state() reconstructs an engine that continues the exact sequence.
+  /// The raw 256-bit engine state, for serialization; from_state()
+  /// reconstructs an engine that continues the exact sequence.
   std::array<std::uint64_t, 4> state() const noexcept { return state_; }
 
   /// Rebuilds an engine from a state() snapshot (words must not be all zero;
@@ -52,6 +59,15 @@ class Xoshiro256 {
  private:
   std::array<std::uint64_t, 4> state_;
 };
+
+/// Per-device streams: out[i] is the engine that the (lo + i)-th split() of
+/// Xoshiro256(seed) returns, i.e. device lo + i's stream.  The range is cut
+/// into fixed blocks of 2^14 devices; each block jumps to its first device
+/// with long_jumped() and splits serially from there, so the words are
+/// identical to one serial split() loop for any thread count.  More than
+/// one block runs on a pool scoped to the call (joined before it returns).
+void split_streams(std::uint64_t seed, std::uint64_t lo,
+                   std::span<Xoshiro256> out);
 
 /// Uniform double in [0, 1) with 53 bits of randomness.
 double uniform01(Xoshiro256& rng) noexcept;

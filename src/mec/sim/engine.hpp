@@ -40,6 +40,7 @@
 #include "mec/parallel/shard_executor.hpp"
 #include "mec/parallel/thread_pool.hpp"
 #include "mec/parallel/transport.hpp"
+#include "mec/random/rng.hpp"
 #include "mec/sim/coordinator.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/device_state.hpp"
@@ -57,9 +58,10 @@ struct SimWorkspace::Impl {
   std::unique_ptr<parallel::ThreadPool> pool;  ///< lazily built when K > 1
 
   /// Post-split per-device RNG snapshot, keyed by (seed, population size).
-  /// Splitting is ~1us per device (xoshiro long_jump), so re-deriving 1e5+
-  /// streams dominates the setup of repeated same-seed runs; restoring the
-  /// snapshot is a memcpy and bit-identical by construction.
+  /// A split() costs ~0.5us per device (one xoshiro long_jump, 256 engine
+  /// steps); split_streams spreads that over cores, but restoring the
+  /// snapshot is still a plain copy for repeated same-seed runs and
+  /// bit-identical by construction.
   std::vector<random::Xoshiro256> rng_init;
   std::uint64_t rng_seed = 0;
   bool rng_cached = false;
@@ -103,8 +105,9 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
       ws.rng_init.size() == n_devices) {
     std::copy(ws.rng_init.begin(), ws.rng_init.end(), ws.rngs.begin());
   } else {
-    random::Xoshiro256 master(options.seed);
-    for (std::uint32_t n = 0; n < n_devices; ++n) ws.rngs[n] = master.split();
+    // Block-parallel over a pool scoped to the call: the threads are joined
+    // before the process transport below forks.
+    random::split_streams(options.seed, 0, ws.rngs);
     ws.rng_init = ws.rngs;
     ws.rng_seed = options.seed;
     ws.rng_cached = true;
@@ -218,9 +221,10 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
                     "transport=tcp requires sampler specs (enforced by "
                     "MecSimulation)");
     // Unlike transport=process there is no fork to inherit state through:
-    // each rank's slice is serialized explicitly.  The RNG words shipped
-    // are the *pre-init* snapshots (rng_init); the worker re-runs
-    // init_shard and reproduces the initial-arrival draws bit for bit.
+    // each rank's slice is serialized explicitly.  No RNG words are
+    // shipped: the worker derives its slice's pre-init streams from
+    // (seed, device_lo) with split_streams, re-runs init_shard, and
+    // reproduces the initial-arrival draws bit for bit.
     net::wire::WorkerPopulation base;
     base.ranks = static_cast<std::uint32_t>(ranks);
     base.seed = options.seed;
@@ -250,9 +254,6 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
           parallel::shard_bound(n_devices, shard_count, pop.shard_hi);
       pop.users.assign(users.begin() + pop.device_lo,
                        users.begin() + pop.device_hi);
-      pop.rng_states.reserve(pop.device_hi - pop.device_lo);
-      for (std::uint32_t d = pop.device_lo; d < pop.device_hi; ++d)
-        pop.rng_states.push_back(ws.rng_init[d].state());
       payloads.push_back(net::wire::encode_population(pop));
     }
     net::TcpTransport::Config cfg;

@@ -4,6 +4,7 @@
 // live in their own layer headers/TUs — this file only composes them.
 #include "mec/sim/mec_simulation.hpp"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -93,11 +94,20 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                       "fault action targets a cluster outside the topology");
     const std::vector<core::UserParams> joiners = options_.faults->churn_users();
     users_.insert(users_.end(), joiners.begin(), joiners.end());
-    MEC_EXPECTS_MSG(users_.size() < (std::size_t{1} << 20),
-                    "population incl. churn must fit the packed event layout");
-    MEC_EXPECTS_MSG(options_.faults->size() < (std::size_t{1} << 20),
-                    "fault schedule must fit the packed event layout");
+    if (options_.faults->size() > EventQueue::kMaxDevices)
+      throw RuntimeError(
+          "fault schedule has " + std::to_string(options_.faults->size()) +
+          " actions, above the limit of " +
+          std::to_string(EventQueue::kMaxDevices) +
+          " (2^20): fault events carry the action index in the packed "
+          "20-bit device field of the event queue");
   }
+  if (users_.size() > EventQueue::kMaxDevices)
+    throw RuntimeError(
+        "population of " + std::to_string(users_.size()) +
+        " devices (incl. churn joiners) is above the limit of " +
+        std::to_string(EventQueue::kMaxDevices) +
+        " devices (2^20): the event queue packs device ids into 20 bits");
   for (const auto& u : users_) u.check();
 }
 

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/best_response.hpp"
+#include "mec/fault/fault_schedule.hpp"
 #include "mec/queueing/mm1.hpp"
 #include "mec/queueing/threshold_queue.hpp"
 #include "mec/random/empirical_data.hpp"
@@ -482,6 +485,37 @@ TEST(Des, RejectsInvalidConfiguration) {
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay());
   const std::vector<double> wrong(2, 1.0);
   EXPECT_THROW(sim.run_tro(wrong), ContractViolation);
+}
+
+TEST(Des, RejectsPopulationsAboveTheDeviceLimitAtEntry) {
+  // The event queue packs device ids into 20 bits.  One device past
+  // 2^20 = 1,048,576 must fail in the constructor with an error that names
+  // the limit and the reason, for fault-free runs and churn alike.
+  constexpr std::size_t kLimit = std::size_t{1} << 20;
+  ASSERT_EQ(EventQueue::kMaxDevices, kLimit);
+  std::vector<core::UserParams> users = homogeneous(kLimit + 1, 1.0, 2.0);
+  SimulationOptions o;
+  o.horizon = 0.01;
+  try {
+    MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
+    FAIL() << "a 2^20 + 1 device population must be rejected";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1048577 devices"), std::string::npos) << what;
+    EXPECT_NE(what.find("limit of 1048576 devices"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("packs device ids into 20 bits"), std::string::npos)
+        << what;
+  }
+
+  users.pop_back();  // exactly at the limit: accepted
+  EXPECT_NO_THROW(MecSimulation(users, 10.0, core::make_reciprocal_delay(), o));
+
+  auto churn = std::make_shared<fault::FaultSchedule>();
+  churn->add_user_arrival(0.005, users.front());
+  o.faults = churn;
+  EXPECT_THROW(MecSimulation(users, 10.0, core::make_reciprocal_delay(), o),
+               RuntimeError);
 }
 
 }  // namespace

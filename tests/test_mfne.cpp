@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
+#include "mec/core/best_response.hpp"
 #include "mec/core/cost_model.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
+#include "mec/sim/mec_simulation.hpp"
 
 namespace mec::core {
 namespace {
@@ -175,6 +180,75 @@ TEST(Mfne, FlagsNonConvergenceWhenTheIterationGuardCutsOff) {
   // The midpoint of the last bracket is still a usable estimate.
   EXPECT_GT(r.gamma_star, 0.0);
   EXPECT_LT(r.gamma_star, 1.0);
+}
+
+/// Theorem-1 bisection written out against the serial best_response
+/// overload only: the reference the (possibly threaded) solver must match.
+MfneResult serial_reference_mfne(std::span<const UserParams> users,
+                                 const EdgeDelay& delay, double capacity) {
+  const MfneOptions opt;
+  double lo = 0.0, hi = 1.0;
+  int iters = 0;
+  while (hi - lo > opt.tolerance && iters < opt.max_iterations) {
+    const double mid = 0.5 * (lo + hi);
+    if (best_response(users, delay, capacity, mid).utilization > mid)
+      lo = mid;
+    else
+      hi = mid;
+    ++iters;
+  }
+  MfneResult r;
+  r.gamma_star = 0.5 * (lo + hi);
+  BestResponse br = best_response(users, delay, capacity, r.gamma_star);
+  r.best_response_value = br.utilization;
+  r.thresholds = std::move(br.thresholds);
+  r.iterations = iters;
+  return r;
+}
+
+// 70 000 users is above solve_mfne's 2^16-user parallel floor, so these
+// exercise the threaded bisection.
+constexpr std::size_t kAboveParallelFloor = 70000;
+
+TEST(Mfne, ParallelBisectionIsBitIdenticalToTheSerialReference) {
+  const auto users =
+      sampled(population::LoadRegime::kAtService, kAboveParallelFloor, 21);
+  const EdgeDelay delay = make_reciprocal_delay();
+  const MfneResult parallel = solve_mfne(users, delay, 10.0);
+  const MfneResult serial = serial_reference_mfne(users, delay, 10.0);
+  EXPECT_EQ(parallel.gamma_star, serial.gamma_star);
+  EXPECT_EQ(parallel.best_response_value, serial.best_response_value);
+  EXPECT_EQ(parallel.iterations, serial.iterations);
+  EXPECT_EQ(parallel.thresholds, serial.thresholds);
+  EXPECT_TRUE(parallel.converged);
+}
+
+TEST(Mfne, ProcessTransportRightAfterAParallelSolveMatchesInProcess) {
+  // The solver's pool must be joined before it returns: a fork right after
+  // it (transport=process) must still reproduce the in-process run.
+  const auto users =
+      sampled(population::LoadRegime::kAtService, kAboveParallelFloor, 22);
+  const EdgeDelay delay = make_reciprocal_delay();
+  const MfneResult mfne = solve_mfne(users, delay, 10.0);
+  const std::vector<double> thresholds(mfne.thresholds.begin(),
+                                       mfne.thresholds.end());
+  sim::SimulationOptions o;
+  o.warmup = 0.0;
+  o.horizon = 0.5;
+  o.seed = 5;
+  o.shards = 2;
+  o.fixed_gamma = mfne.gamma_star;
+  const sim::SimulationResult inproc =
+      sim::MecSimulation(users, 10.0, delay, o).run_tro(thresholds);
+  o.transport = sim::TransportKind::kProcess;
+  o.workers = 2;
+  const sim::SimulationResult forked =
+      sim::MecSimulation(users, 10.0, delay, o).run_tro(thresholds);
+  EXPECT_GT(inproc.total_events, 0u);
+  EXPECT_EQ(forked.total_events, inproc.total_events);
+  EXPECT_EQ(forked.measured_utilization, inproc.measured_utilization);
+  EXPECT_EQ(forked.mean_cost, inproc.mean_cost);
+  EXPECT_EQ(forked.mean_queue_length, inproc.mean_queue_length);
 }
 
 }  // namespace

@@ -379,7 +379,7 @@ TEST(TcpTransportHandshake, WorkerRejectsACoordinatorRevisionMismatch) {
   obs::wire::ByteReader r(reply.payload);
   const std::string what = r.get_string(r.get_u32());
   EXPECT_NE(what.find("revision 99"), std::string::npos) << what;
-  EXPECT_NE(what.find("revision 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("revision 2"), std::string::npos) << what;
   fd.reset();
   expect_tiny_tcp_run_succeeds(fleet.addresses());
 }
@@ -413,7 +413,7 @@ TEST(TcpTransportHandshake, CoordinatorRejectsAWorkerRevisionMismatch) {
     FAIL() << "a worker revision mismatch must be refused";
   } catch (const RuntimeError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("this coordinator speaks revision 1"),
+    EXPECT_NE(what.find("this coordinator speaks revision 2"),
               std::string::npos)
         << what;
     EXPECT_NE(what.find("answered revision 99"), std::string::npos) << what;

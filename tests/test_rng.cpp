@@ -54,6 +54,90 @@ TEST(Xoshiro256, SplitChildEqualsPreSplitParentStream) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(child(), reference());
 }
 
+/// Blackman & Vigna's long jump written out step by step: 256 engine steps,
+/// xoring together the states the jump polynomial selects.
+Xoshiro256 reference_long_jump(Xoshiro256 rng) {
+  constexpr std::array<std::uint64_t, 4> kJump = {
+      0x76E15D3EFEFDCBBFULL, 0xC5004E441C522FB3ULL, 0x77710069854EE241ULL,
+      0x39109BB02ACBE635ULL};
+  std::array<std::uint64_t, 4> acc = {0, 0, 0, 0};
+  for (const std::uint64_t jump : kJump) {
+    for (int b = 0; b < 64; ++b) {
+      if (jump & (std::uint64_t{1} << b)) {
+        const std::array<std::uint64_t, 4> s = rng.state();
+        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s[i];
+      }
+      rng();
+    }
+  }
+  return Xoshiro256::from_state(acc);
+}
+
+TEST(Xoshiro256, LongJumpMatchesTheReferencePolynomial) {
+  for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0xDEADBEEFull}) {
+    Xoshiro256 rng(seed);
+    for (int i = 0; i < 5; ++i) rng();
+    for (int jump = 0; jump < 3; ++jump) {
+      const Xoshiro256 expected = reference_long_jump(rng);
+      rng.long_jump();
+      ASSERT_EQ(rng, expected) << "seed=" << seed << " jump=" << jump;
+    }
+  }
+}
+
+TEST(Xoshiro256, LongJumpedEqualsRepeatedLongJumps) {
+  const Xoshiro256 start(0xC0FFEE);
+  Xoshiro256 reference = start;
+  std::uint64_t jumps = 0;
+  for (const std::uint64_t n : {0, 1, 2, 63, 64, 1000, 16385}) {
+    for (; jumps < n; ++jumps) reference.long_jump();
+    EXPECT_EQ(start.long_jumped(n), reference) << "n=" << n;
+  }
+}
+
+TEST(Xoshiro256, LongJumpedComposes) {
+  // L^a * L^b = L^(a+b): jumping from a jumped state lands where one jump of
+  // the summed length does, which is what lets split blocks start anywhere.
+  const Xoshiro256 start(17);
+  EXPECT_EQ(start.long_jumped(300).long_jumped(777), start.long_jumped(1077));
+  EXPECT_EQ(start.long_jumped(std::uint64_t{1} << 40).long_jumped(5),
+            start.long_jumped((std::uint64_t{1} << 40) + 5));
+}
+
+/// The per-device streams a serial split() loop over Xoshiro256(seed) gives.
+std::vector<Xoshiro256> serial_streams(std::uint64_t seed, std::size_t n) {
+  Xoshiro256 master(seed);
+  std::vector<Xoshiro256> out(n);
+  for (Xoshiro256& rng : out) rng = master.split();
+  return out;
+}
+
+TEST(SplitStreams, BlockParallelFillEqualsSerialSplitWordForWord) {
+  // Four 2^14-device blocks, the last one partial: blocks 1-3 start from a
+  // long_jumped() state rather than from the seed.
+  constexpr std::size_t kDevices = 3 * (std::size_t{1} << 14) + 7;
+  const std::vector<Xoshiro256> reference = serial_streams(2024, kDevices);
+  std::vector<Xoshiro256> streams(kDevices);
+  split_streams(2024, 0, streams);
+  for (std::size_t i = 0; i < kDevices; ++i)
+    ASSERT_EQ(streams[i].state(), reference[i].state()) << "device " << i;
+}
+
+TEST(SplitStreams, SliceStartingMidPopulationMatchesTheSerialSequence) {
+  // A worker deriving only its slice [lo, hi) must get the coordinator's
+  // streams for those devices, including a slice that straddles blocks.
+  constexpr std::size_t kDevices = 3 * (std::size_t{1} << 14) + 7;
+  const std::vector<Xoshiro256> reference = serial_streams(9, kDevices);
+  for (const std::size_t lo : {std::size_t{1}, std::size_t{5000},
+                               std::size_t{1} << 14, kDevices - 1}) {
+    std::vector<Xoshiro256> slice(kDevices - lo);
+    split_streams(9, lo, slice);
+    for (std::size_t i = 0; i < slice.size(); ++i)
+      ASSERT_EQ(slice[i].state(), reference[lo + i].state())
+          << "lo=" << lo << " device " << lo + i;
+  }
+}
+
 TEST(Uniform01, StaysInHalfOpenUnitInterval) {
   Xoshiro256 rng(5);
   for (int i = 0; i < 100000; ++i) {

@@ -448,7 +448,7 @@ TEST(NetWire, HelloMatchesTheGoldenBytes) {
   // magic "MECT" | revision | rank | ranks, all u32 LE.
   const std::vector<std::uint8_t> golden = bytes({
       0x4D, 0x45, 0x43, 0x54,  // "MECT"
-      0x01, 0x00, 0x00, 0x00,  // schema revision 1
+      0x02, 0x00, 0x00, 0x00,  // schema revision 2
       0x03, 0x00, 0x00, 0x00,  // rank 3
       0x08, 0x00, 0x00, 0x00,  // of 8 ranks
   });
@@ -466,7 +466,7 @@ TEST(NetWire, HelloAckMatchesTheGoldenBytes) {
   const std::vector<std::uint8_t> payload = net::wire::encode_hello_ack(ack);
   const std::vector<std::uint8_t> golden = bytes({
       0x4D, 0x45, 0x43, 0x54,  // "MECT"
-      0x01, 0x00, 0x00, 0x00,  // schema revision 1
+      0x02, 0x00, 0x00, 0x00,  // schema revision 2
       0x03, 0x00, 0x00, 0x00,  // rank echo
   });
   EXPECT_EQ(payload, golden);
@@ -541,7 +541,6 @@ net::wire::WorkerPopulation sample_population() {
     u.energy_local = 1.0;
     u.energy_offload = 0.5;
     pop.users.push_back(u);
-    pop.rng_states.push_back({10 * i + 1, 10 * i + 2, 10 * i + 3, 10 * i + 4});
   }
   fault::ResolvedAction a;
   a.time = 12.0;
@@ -590,9 +589,6 @@ std::vector<std::uint8_t> golden_population_bytes(
     append_f64_le(out, u.energy_offload);
     append_f64_le(out, u.weight);
   }
-  append_u32_le(out, static_cast<std::uint32_t>(pop.rng_states.size()));
-  for (const auto& s : pop.rng_states)
-    for (const std::uint64_t word : s) append_u64_le(out, word);
   append_u32_le(out, static_cast<std::uint32_t>(pop.actions.size()));
   for (const fault::ResolvedAction& a : pop.actions) {
     append_f64_le(out, a.time);
@@ -618,7 +614,6 @@ TEST(NetWire, PopulationRoundTripsBitIdentically) {
   std::uniform_real_distribution<double> real(0.01, 10.0);
   net::wire::WorkerPopulation pop = sample_population();
   pop.users.clear();
-  pop.rng_states.clear();
   for (std::size_t i = 0; i < 3; ++i) {
     core::UserParams u;
     u.arrival_rate = real(gen);
@@ -628,18 +623,16 @@ TEST(NetWire, PopulationRoundTripsBitIdentically) {
     u.energy_offload = real(gen);
     u.weight = real(gen);
     pop.users.push_back(u);
-    pop.rng_states.push_back({gen(), gen(), gen(), gen()});
   }
   const std::vector<std::uint8_t> payload = net::wire::encode_population(pop);
   const net::wire::WorkerPopulation back =
       net::wire::decode_population(payload);
   // Re-encoding the decode must reproduce the exact bytes: nothing on this
-  // path may truncate, reorder, or renormalize (rng state words and f64 bit
-  // patterns included).
+  // path may truncate, reorder, or renormalize (f64 bit patterns
+  // included).
   EXPECT_EQ(net::wire::encode_population(back), payload);
   EXPECT_EQ(back.rank, pop.rank);
   EXPECT_EQ(back.seed, pop.seed);
-  EXPECT_EQ(back.rng_states, pop.rng_states);
   EXPECT_EQ(back.latency.data, pop.latency.data);
   EXPECT_TRUE(back.service == pop.service);
 }
