@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "mec/common/error.hpp"
 #include "mec/random/rng.hpp"
 
 namespace mec::random {
+
+// Print parameters by what they are, not by their bytes: the default printer
+// dumps the shared model pointer, which would make the parameterised test
+// names (and the CTest names derived from them) change with every run.
+// CMake lists cannot carry ';' or brackets, so those are mapped to ',' and
+// parentheses.
+void PrintTo(const Distribution& d, std::ostream* os) {
+  for (const char c : d.describe()) {
+    *os << (c == ';' ? ',' : c == '[' ? '(' : c == ']' ? ')' : c);
+  }
+}
+
 namespace {
 
 double sample_mean(const Distribution& d, int n, std::uint64_t seed) {
