@@ -108,8 +108,7 @@ sim::SamplerSpec decode_sampler_spec(ByteReader& r) {
                        std::to_string(kind));
   spec.kind = static_cast<sim::SamplerSpec::Kind>(kind);
   spec.param = r.get_f64();
-  const std::uint32_t n = r.get_u32();
-  spec.data.resize(n);
+  spec.data.resize(r.checked_count(r.get_u32(), 8));
   for (double& v : spec.data) v = r.get_f64();
   return spec;
 }
@@ -183,8 +182,7 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
   pop.with_faults = r.get_u8() != 0;
   pop.service = decode_sampler_spec(r);
   pop.latency = decode_sampler_spec(r);
-  const std::uint32_t n_users = r.get_u32();
-  pop.users.resize(n_users);
+  pop.users.resize(r.checked_count(r.get_u32(), kUserParamsWireSize));
   for (core::UserParams& u : pop.users) {
     u.arrival_rate = r.get_f64();
     u.service_rate = r.get_f64();
@@ -193,8 +191,7 @@ WorkerPopulation decode_population(std::span<const std::uint8_t> payload) {
     u.energy_offload = r.get_f64();
     u.weight = r.get_f64();
   }
-  const std::uint32_t n_actions = r.get_u32();
-  pop.actions.resize(n_actions);
+  pop.actions.resize(r.checked_count(r.get_u32(), kResolvedActionWireSize));
   for (fault::ResolvedAction& a : pop.actions) {
     a.time = r.get_f64();
     const std::uint8_t kind = r.get_u8();

@@ -27,6 +27,21 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 }
 constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
+/// Slicing-by-8 tables: kCrcTables[0] is kCrcTable, and kCrcTables[k][b] is
+/// the register contribution of byte b followed by k zero bytes, so eight
+/// independent lookups advance the CRC by eight bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
+  tables[0] = kCrcTable;
+  for (std::size_t k = 1; k < tables.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] =
+          (tables[k - 1][i] >> 8) ^ kCrcTable[tables[k - 1][i] & 0xFFu];
+  return tables;
+}
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    make_crc_tables();
+
 constexpr std::size_t kWindowDoubles = 15;
 constexpr std::size_t kWindowU64s = 11;
 /// Fixed (cluster-independent) part of a v2 window payload; the per-cluster
@@ -34,18 +49,21 @@ constexpr std::size_t kWindowU64s = 11;
 constexpr std::size_t kWindowFixedSize =
     kWindowDoubles * 8 + kWindowU64s * 8 + kThresholdBins * 4;
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ wire::load_le<std::uint32_t>(p);
+    const std::uint32_t hi = wire::load_le<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -132,10 +150,11 @@ std::vector<std::uint8_t> encode_footer(const RunFooter& footer) {
 
 RunLogMeta decode_meta(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const std::uint32_t n = r.get_u32();
+  // Each entry is at least its two u32 string lengths.
+  const std::size_t n = r.checked_count(r.get_u32(), 8);
   RunLogMeta meta;
   meta.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::string key = r.get_string(r.get_u32());
     std::string value = r.get_string(r.get_u32());
     meta.emplace_back(std::move(key), std::move(value));
@@ -192,10 +211,11 @@ WindowRecord decode_window(std::span<const std::uint8_t> payload) {
 std::vector<CounterValue> decode_counters(
     std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const std::uint32_t n = r.get_u32();
+  // u16 id + u16 shard + f64 value per counter.
+  const std::size_t n = r.checked_count(r.get_u32(), 12);
   std::vector<CounterValue> values;
   values.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     CounterValue v;
     v.id = r.get_u16();
     v.shard = r.get_u16();
@@ -300,8 +320,8 @@ RunLogReader::RunLogReader(const std::string& path) {
     file_ = nullptr;
     throw RuntimeError("not a .meclog file (bad magic): " + path);
   }
-  version_ = load_u32(header.data() + 8);
-  const std::uint32_t bins = load_u32(header.data() + 12);
+  version_ = wire::load_le<std::uint32_t>(header.data() + 8);
+  const std::uint32_t bins = wire::load_le<std::uint32_t>(header.data() + 12);
   if (version_ != kFormatVersion || bins != kThresholdBins) {
     std::fclose(file_);
     file_ = nullptr;
@@ -338,8 +358,8 @@ ReadStatus RunLogReader::next(Frame& out) {
     rewind();
     return ReadStatus::kTruncated;
   }
-  const std::uint32_t kind = load_u32(prefix.data());
-  const std::uint32_t length = load_u32(prefix.data() + 4);
+  const std::uint32_t kind = wire::load_le<std::uint32_t>(prefix.data());
+  const std::uint32_t length = wire::load_le<std::uint32_t>(prefix.data() + 4);
   if (kind < static_cast<std::uint32_t>(FrameKind::kMeta) ||
       kind > static_cast<std::uint32_t>(FrameKind::kFooter) ||
       length > kMaxFramePayload) {
@@ -358,7 +378,7 @@ ReadStatus RunLogReader::next(Frame& out) {
     rewind();
     return ReadStatus::kTruncated;
   }
-  if (crc32(payload) != load_u32(checksum.data())) {
+  if (crc32(payload) != wire::load_le<std::uint32_t>(checksum.data())) {
     rewind();
     return ReadStatus::kCorrupt;
   }

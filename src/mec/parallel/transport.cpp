@@ -3,9 +3,11 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -14,7 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "mec/common/error.hpp"
 #include "mec/obs/run_log.hpp"
@@ -22,6 +26,9 @@
 #include "mec/parallel/shard_executor.hpp"
 
 namespace mec::parallel {
+
+using obs::wire::load_le;
+using obs::wire::store_le;
 
 namespace wire {
 
@@ -31,6 +38,10 @@ using obs::wire::ByteWriter;
 // The wire layout below spells out every field explicitly; these asserts
 // pin the in-memory layouts the format mirrors, so a field added to either
 // struct breaks the build here instead of silently skewing the protocol.
+// The offload log goes further: its wire bytes *are* the in-memory bytes
+// (little-endian scalars, IEEE-754 doubles, no padding, bools as 0/1), so
+// it is encoded as one block copy; the assert after the OffloadRecord
+// layout pins what that needs of the host.
 static_assert(sizeof(sim::OffloadRecord) == 32 &&
                   offsetof(sim::OffloadRecord, time) == 0 &&
                   offsetof(sim::OffloadRecord, latency) == 8 &&
@@ -42,6 +53,11 @@ static_assert(sizeof(sim::OffloadRecord) == 32 &&
               "OffloadRecord layout drifted; update the wire codec and "
               "kOffloadRecordWireSize together");
 static_assert(kOffloadRecordWireSize == 32);
+static_assert(std::endian::native == std::endian::little &&
+                  std::numeric_limits<double>::is_iec559 &&
+                  std::is_trivially_copyable_v<sim::OffloadRecord>,
+              "the offload log is copied to the wire in bulk, which needs a "
+              "little-endian host with IEEE-754 doubles");
 static_assert(sizeof(DeviceTotals) == 56 &&
                   offsetof(DeviceTotals, arrivals) == 0 &&
                   offsetof(DeviceTotals, offloaded) == 8 &&
@@ -152,6 +168,16 @@ BarrierRequest decode_barrier_request(std::span<const std::uint8_t> payload) {
 
 namespace {
 
+/// Smallest wire size of one shard block (every optional section absent):
+/// shard u32, five u64 counters, cluster count u32, flipped u8, log count
+/// u32, has_sketches u8, has_queue_stats u8.
+constexpr std::size_t kMinShardWireSize = 4 + 5 * 8 + 4 + 1 + 4 + 1 + 1;
+/// time, latency, penalty, device, cluster: the OffloadRecord bytes before
+/// the two bool flags.
+constexpr std::size_t kOffloadRecordScalarBytes =
+    offsetof(sim::OffloadRecord, measured);
+static_assert(kOffloadRecordScalarBytes == 30);
+
 void encode_sketch(ByteWriter& w, const stats::LatencySketch& sketch) {
   w.put_u64(sketch.count());
   if (sketch.count() == 0) return;
@@ -180,12 +206,12 @@ stats::LatencySketch decode_sketch(ByteReader& r,
 
 std::vector<std::uint8_t> encode_barrier_payload(
     std::span<const ShardBarrierView> views, bool has_q, double total_q,
-    double total_q2) {
+    double total_q2, std::vector<std::uint8_t> recycled) {
   std::size_t reserve = 16;
   for (const ShardBarrierView& v : views)
     reserve += 128 + v.log.size() * kOffloadRecordWireSize +
                v.cluster_offloads.size() * 8;
-  ByteWriter w(reserve);
+  ByteWriter w(std::move(recycled), reserve);
   w.put_u32(static_cast<std::uint32_t>(views.size()));
   for (const ShardBarrierView& v : views) {
     w.put_u32(v.shard);
@@ -198,15 +224,7 @@ std::vector<std::uint8_t> encode_barrier_payload(
     for (const std::uint64_t c : v.cluster_offloads) w.put_u64(c);
     w.put_u8(v.flipped ? 1 : 0);
     w.put_u32(static_cast<std::uint32_t>(v.log.size()));
-    for (const sim::OffloadRecord& rec : v.log) {
-      w.put_f64(rec.time);
-      w.put_f64(rec.latency);
-      w.put_f64(rec.penalty);
-      w.put_u32(rec.device);
-      w.put_u16(rec.cluster);
-      w.put_u8(rec.measured ? 1 : 0);
-      w.put_u8(rec.penalized ? 1 : 0);
-    }
+    w.put_bytes(v.log.data(), v.log.size() * kOffloadRecordWireSize);
     const bool has_sketches = v.local_sojourns != nullptr;
     w.put_u8(has_sketches ? 1 : 0);
     if (has_sketches) {
@@ -230,12 +248,12 @@ std::vector<std::uint8_t> encode_barrier_payload(
   return w.take();
 }
 
-RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload) {
+RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload,
+                                       RankBarrierData recycled) {
   ByteReader r(payload);
-  RankBarrierData data;
+  RankBarrierData data = std::move(recycled);
   std::vector<std::uint64_t> bin_scratch;
-  const std::uint32_t n_shards = r.get_u32();
-  data.shards.resize(n_shards);
+  data.shards.resize(r.checked_count(r.get_u32(), kMinShardWireSize));
   for (RankBarrierData::Shard& s : data.shards) {
     s.shard = r.get_u32();
     s.events = r.get_u64();
@@ -243,41 +261,39 @@ RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload) {
     s.tasks_lost = r.get_u64();
     s.offloads_rejected = r.get_u64();
     s.offloads_penalized = r.get_u64();
-    const std::uint32_t n_clusters = r.get_u32();
-    s.cluster_offloads.resize(n_clusters);
-    for (std::uint32_t k = 0; k < n_clusters; ++k)
-      s.cluster_offloads[k] = r.get_u64();
+    s.cluster_offloads.resize(r.checked_count(r.get_u32(), 8));
+    for (std::uint64_t& c : s.cluster_offloads) c = r.get_u64();
     s.flipped = r.get_u8() != 0;
-    const std::uint32_t n_log = r.get_u32();
-    s.log.resize(n_log);
+    s.log.resize(r.checked_count(r.get_u32(), kOffloadRecordWireSize));
+    // Copy each record's scalar prefix as is, but read the two flag bytes
+    // as `byte != 0`: a peer may send any non-zero byte for true, and
+    // copying that into a bool would create an invalid bool.
+    const std::uint8_t* p =
+        r.get_bytes(s.log.size() * kOffloadRecordWireSize);
     for (sim::OffloadRecord& rec : s.log) {
-      rec.time = r.get_f64();
-      rec.latency = r.get_f64();
-      rec.penalty = r.get_f64();
-      rec.device = r.get_u32();
-      rec.cluster = r.get_u16();
-      rec.measured = r.get_u8() != 0;
-      rec.penalized = r.get_u8() != 0;
+      std::memcpy(static_cast<void*>(&rec), p, kOffloadRecordScalarBytes);
+      rec.measured = p[kOffloadRecordScalarBytes] != 0;
+      rec.penalized = p[kOffloadRecordScalarBytes + 1] != 0;
+      p += kOffloadRecordWireSize;
     }
     s.has_sketches = r.get_u8() != 0;
-    if (s.has_sketches) {
-      s.local_sojourns = decode_sketch(r, bin_scratch);
-      s.offload_delays = decode_sketch(r, bin_scratch);
-    }
+    s.local_sojourns = s.has_sketches ? decode_sketch(r, bin_scratch)
+                                      : stats::LatencySketch{};
+    s.offload_delays = s.has_sketches ? decode_sketch(r, bin_scratch)
+                                      : stats::LatencySketch{};
     s.has_queue_stats = r.get_u8() != 0;
-    if (s.has_queue_stats) {
-      s.queue_depth = r.get_f64();
-      s.calendar_gear = r.get_f64();
-      s.gear_switches = r.get_f64();
-      s.calendar_retunes = r.get_f64();
-      s.leg_seconds = r.get_f64();
-    }
+    const auto queue_stat = [&] {
+      return s.has_queue_stats ? r.get_f64() : 0.0;
+    };
+    s.queue_depth = queue_stat();
+    s.calendar_gear = queue_stat();
+    s.gear_switches = queue_stat();
+    s.calendar_retunes = queue_stat();
+    s.leg_seconds = queue_stat();
   }
   data.has_q = r.get_u8() != 0;
-  if (data.has_q) {
-    data.total_q = r.get_f64();
-    data.total_q2 = r.get_f64();
-  }
+  data.total_q = data.has_q ? r.get_f64() : 0.0;
+  data.total_q2 = data.has_q ? r.get_f64() : 0.0;
   if (!r.exhausted())
     throw RuntimeError("transport barrier payload has trailing bytes");
   return data;
@@ -323,9 +339,8 @@ std::vector<std::uint8_t> encode_thresholds(std::span<const double> values) {
 
 std::vector<double> decode_thresholds(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const std::uint32_t count = r.get_u32();
-  std::vector<double> values(count);
-  for (std::uint32_t i = 0; i < count; ++i) values[i] = r.get_f64();
+  std::vector<double> values(r.checked_count(r.get_u32(), 8));
+  for (double& v : values) v = r.get_f64();
   return values;
 }
 
@@ -355,7 +370,8 @@ FinalTotals decode_device_totals(std::span<const std::uint8_t> payload) {
   out.device_hi = r.get_u32();
   if (out.device_hi < out.device_lo)
     throw RuntimeError("transport final-totals device range is inverted");
-  out.totals.resize(out.device_hi - out.device_lo);
+  out.totals.resize(
+      r.checked_count(out.device_hi - out.device_lo, kDeviceTotalsWireSize));
   for (DeviceTotals& t : out.totals) {
     t.arrivals = r.get_u64();
     t.offloaded = r.get_u64();
@@ -376,16 +392,28 @@ FinalTotals decode_device_totals(std::span<const std::uint8_t> payload) {
 
 namespace {
 
-void write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL);
+/// Gathered write of every byte in `iov[0..count)`; `iov` is consumed.
+void write_all(int fd, struct iovec* iov, std::size_t count) {
+  while (count > 0) {
+    struct msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       throw RuntimeError(std::string("transport write failed: ") +
                          std::strerror(errno));
     }
-    data += sent;
-    n -= static_cast<std::size_t>(sent);
+    auto left = static_cast<std::size_t>(sent);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
 }
 
@@ -408,30 +436,30 @@ bool read_all(int fd, std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-std::uint32_t load_le_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+/// Checks the CRC tail of a received `payload + crc` body, then trims the
+/// tail so the receive buffer itself becomes the frame payload.
+void finish_body(std::vector<std::uint8_t>& body) {
+  const std::size_t len = body.size() - 4;
+  if (load_le<std::uint32_t>(body.data() + len) !=
+      obs::crc32(std::span(body.data(), len)))
+    throw RuntimeError("transport frame CRC mismatch");
+  body.resize(len);
 }
 
-/// Reads one complete frame, blocking without timeout (worker side).
-/// Returns false on clean EOF before a frame starts.
+/// Reads one complete frame into `out`, blocking without timeout (worker
+/// side), reusing out.payload's capacity.  Returns false on clean EOF
+/// before a frame starts.
 bool read_frame_blocking(int fd, wire::DecodedFrame& out) {
   std::uint8_t header[8];
   if (!read_all(fd, header, sizeof header)) return false;
-  out.kind = load_le_u32(header);
-  const std::uint32_t len = load_le_u32(header + 4);
+  out.kind = load_le<std::uint32_t>(header);
+  const std::uint32_t len = load_le<std::uint32_t>(header + 4);
   if (len > wire::kMaxTransportPayload)
     throw RuntimeError("transport frame length exceeds the size cap");
-  out.payload.resize(len);
-  if (len > 0 && !read_all(fd, out.payload.data(), len))
+  out.payload.resize(static_cast<std::size_t>(len) + 4);
+  if (!read_all(fd, out.payload.data(), out.payload.size()))
     throw RuntimeError("transport peer closed mid-frame");
-  std::uint8_t crc_bytes[4];
-  if (!read_all(fd, crc_bytes, sizeof crc_bytes))
-    throw RuntimeError("transport peer closed mid-frame");
-  if (load_le_u32(crc_bytes) != obs::crc32(out.payload))
-    throw RuntimeError("transport frame CRC mismatch");
+  finish_body(out.payload);
   return true;
 }
 
@@ -469,16 +497,28 @@ namespace wire {
 
 void write_frame(int fd, std::uint32_t kind,
                  std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(kind, payload);
-  write_all(fd, frame.data(), frame.size());
+  MEC_EXPECTS_MSG(payload.size() <= kMaxTransportPayload,
+                  "transport frame payload exceeds the size cap");
+  std::uint8_t header[8];
+  store_le(header, kind);
+  store_le(header + 4, static_cast<std::uint32_t>(payload.size()));
+  std::uint8_t crc[4];
+  store_le(crc, obs::crc32(payload));
+  struct iovec iov[3] = {
+      {header, sizeof header},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+      {crc, sizeof crc}};
+  write_all(fd, iov, 3);
 }
 
-DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
+DecodedFrame read_frame_deadline(int fd, long timeout_ms,
+                                 std::vector<std::uint8_t> recycled) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   std::uint8_t header[8];
   std::size_t have = 0;
-  std::vector<std::uint8_t> body;  // payload + crc once the header is in
+  // payload + crc once the header is in
+  std::vector<std::uint8_t> body = std::move(recycled);
   std::size_t body_have = 0;
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
@@ -509,7 +549,7 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
                         "transport peer closed the channel");
       have += static_cast<std::size_t>(r);
       if (have == sizeof header) {
-        const std::uint32_t len = load_le_u32(header + 4);
+        const std::uint32_t len = load_le<std::uint32_t>(header + 4);
         if (len > kMaxTransportPayload)
           throw RuntimeError("transport frame length exceeds the size cap");
         body.resize(static_cast<std::size_t>(len) + 4);
@@ -529,11 +569,10 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms) {
     body_have += static_cast<std::size_t>(r);
     if (body_have == body.size()) break;
   }
+  finish_body(body);
   DecodedFrame frame;
-  frame.kind = load_le_u32(header);
-  frame.payload.assign(body.begin(), body.end() - 4);
-  if (load_le_u32(body.data() + body.size() - 4) != obs::crc32(frame.payload))
-    throw RuntimeError("transport frame CRC mismatch");
+  frame.kind = load_le<std::uint32_t>(header);
+  frame.payload = std::move(body);
   return frame;
 }
 
@@ -550,14 +589,10 @@ void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
   const long stall_barrier = env_long("MEC_TEST_WORKER_STALL_BARRIER", 1);
   long barriers = 0;
 
-  const auto reply = [fd](std::uint32_t kind,
-                          std::span<const std::uint8_t> payload) {
-    const std::vector<std::uint8_t> frame = wire::encode_frame(kind, payload);
-    write_all(fd, frame.data(), frame.size());
-  };
-
+  // Both buffers keep their capacity from one barrier to the next.
+  wire::DecodedFrame frame;
+  std::vector<std::uint8_t> out;
   for (;;) {
-    wire::DecodedFrame frame;
     if (!read_frame_blocking(fd, frame))
       throw RuntimeError("transport coordinator closed the channel");
     switch (frame.kind) {
@@ -569,10 +604,10 @@ void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
           ::_exit(17);
         if (static_cast<long>(rank) == stall_rank && barriers == stall_barrier)
           for (;;) ::pause();
-        reply(wire::kFrameBarrier,
-              wire::encode_barrier_payload(worker.views(), req.want_q,
-                                           worker.total_q(),
-                                           worker.total_q2()));
+        out = wire::encode_barrier_payload(worker.views(), req.want_q,
+                                           worker.total_q(), worker.total_q2(),
+                                           std::move(out));
+        wire::write_frame(fd, wire::kFrameBarrier, out);
         break;
       }
       case wire::kFrameThresholds:
@@ -587,7 +622,8 @@ void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
         totals.reserve(hi - lo);
         for (std::uint32_t d = lo; d < hi; ++d)
           totals.push_back(worker.device_totals(d));
-        reply(wire::kFrameFinal, wire::encode_device_totals(lo, hi, totals));
+        wire::write_frame(fd, wire::kFrameFinal,
+                          wire::encode_device_totals(lo, hi, totals));
         return;
       }
       default:
@@ -637,10 +673,8 @@ ProcessTransport::ProcessTransport(const Config& config,
         const std::string what = e.what();
         w.put_u32(static_cast<std::uint32_t>(what.size()));
         w.put_bytes(what.data(), what.size());
-        const std::vector<std::uint8_t> payload = w.take();
         try {
-          const auto frame = wire::encode_frame(wire::kFrameError, payload);
-          write_all(fds[1], frame.data(), frame.size());
+          wire::write_frame(fds[1], wire::kFrameError, w.take());
         } catch (...) {
         }
         status = 1;
@@ -666,8 +700,7 @@ ProcessTransport::~ProcessTransport() {
 
 void ProcessTransport::send_frame(Rank& rank, std::uint32_t kind,
                                   std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> frame = wire::encode_frame(kind, payload);
-  write_all(rank.fd, frame.data(), frame.size());
+  wire::write_frame(rank.fd, kind, payload);
   ++rank.stats.frames_sent;
 }
 
@@ -702,11 +735,12 @@ void ProcessTransport::fail_rank(Rank& rank, double barrier_time,
   throw RuntimeError(msg);
 }
 
-wire::DecodedFrame ProcessTransport::read_frame(Rank& rank,
-                                                double barrier_time) {
-  wire::DecodedFrame frame;
+const wire::DecodedFrame& ProcessTransport::read_frame(Rank& rank,
+                                                       double barrier_time) {
+  wire::DecodedFrame& frame = rank.frame;
   try {
-    frame = wire::read_frame_deadline(rank.fd, timeout_ms_);
+    frame = wire::read_frame_deadline(rank.fd, timeout_ms_,
+                                      std::move(frame.payload));
   } catch (const wire::PeerError& e) {
     if (e.kind() == wire::PeerError::Kind::kTimeout)
       fail_rank(rank, barrier_time,
@@ -733,14 +767,15 @@ std::span<const ShardBarrierView> ProcessTransport::advance(
   for (Rank& rank : ranks_) {
     rank.pending = wire::kFrameBarrier;
     const auto t0 = std::chrono::steady_clock::now();
-    wire::DecodedFrame frame = read_frame(rank, request.limit);
+    const wire::DecodedFrame& frame = read_frame(rank, request.limit);
     rank.stats.barrier_wait_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (frame.kind != wire::kFrameBarrier)
       fail_rank(rank, request.limit,
                 "sent an unexpected frame kind " + std::to_string(frame.kind));
-    rank.data = wire::decode_barrier_payload(frame.payload);
+    rank.data =
+        wire::decode_barrier_payload(frame.payload, std::move(rank.data));
     rank.pending = 0;
     ++rank.barriers_done;
     rank.last_barrier_time = request.limit;
@@ -772,7 +807,7 @@ void ProcessTransport::finalize(bool flipped) {
   const double t_mark = -1.0;  // finalize has no barrier time
   for (Rank& rank : ranks_) {
     rank.pending = wire::kFrameFinal;
-    wire::DecodedFrame frame = read_frame(rank, t_mark);
+    const wire::DecodedFrame& frame = read_frame(rank, t_mark);
     if (frame.kind != wire::kFrameFinal)
       fail_rank(rank, t_mark,
                 "sent an unexpected frame kind " + std::to_string(frame.kind));

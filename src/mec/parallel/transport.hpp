@@ -278,11 +278,21 @@ struct RankBarrierData {
 
 /// Serializes one rank's barrier state (shard views in ascending order plus
 /// the optional queue sums).  Sketches/queue stats are written per the
-/// views' pointers and flags, so encode(decode(x).views()) == x.
+/// views' pointers and flags, so encode(decode(x).views()) == x.  The
+/// offload log is written as one block copy: its wire layout is the
+/// in-memory OffloadRecord layout on the little-endian hosts the build
+/// admits.  `recycled`, when given, is overwritten and returned, so a
+/// caller that encodes once per barrier reuses one buffer's capacity.
 std::vector<std::uint8_t> encode_barrier_payload(
     std::span<const ShardBarrierView> views, bool has_q, double total_q,
-    double total_q2);
-RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload);
+    double total_q2, std::vector<std::uint8_t> recycled = {});
+/// Decodes one rank's barrier payload; throws mec::RuntimeError on
+/// truncation, trailing bytes, or a count the payload cannot hold (checked
+/// before anything is allocated for it).  `recycled`, when given, is
+/// overwritten and returned, so its shard and log vectors keep their
+/// capacity across barriers.
+RankBarrierData decode_barrier_payload(std::span<const std::uint8_t> payload,
+                                       RankBarrierData recycled = {});
 
 std::vector<std::uint8_t> encode_thresholds(std::span<const double> values);
 std::vector<double> decode_thresholds(std::span<const std::uint8_t> payload);
@@ -315,8 +325,10 @@ class PeerError final : public std::runtime_error {
   Kind kind_;
 };
 
-/// Writes one complete frame to `fd`; short writes and EINTR are retried
-/// until the whole envelope is on the wire.
+/// Writes one complete frame to `fd` — header, the caller's payload and the
+/// CRC go out as one gathered write, never copied into a frame buffer;
+/// short writes and EINTR are retried until the whole envelope is on the
+/// wire.
 void write_frame(int fd, std::uint32_t kind,
                  std::span<const std::uint8_t> payload);
 
@@ -324,8 +336,11 @@ void write_frame(int fd, std::uint32_t kind,
 /// loop both backends share.  Partial reads are resumed across polls; the
 /// deadline covers the whole frame, not each chunk.  Throws PeerError
 /// (kClosed on EOF, kTimeout on deadline) and mec::RuntimeError on CRC
-/// mismatch, an oversized length, or a poll/read error.
-DecodedFrame read_frame_deadline(int fd, long timeout_ms);
+/// mismatch, an oversized length, or a poll/read error.  The payload is the
+/// receive buffer itself; `recycled`, when given, becomes that buffer, so a
+/// caller reading one frame per barrier reuses its capacity.
+DecodedFrame read_frame_deadline(int fd, long timeout_ms,
+                                 std::vector<std::uint8_t> recycled = {});
 
 }  // namespace wire
 
@@ -392,7 +407,8 @@ class ProcessTransport final : public Transport {
     long pid = -1;
     std::size_t shard_lo = 0;
     std::size_t shard_hi = 0;
-    wire::RankBarrierData data;
+    wire::DecodedFrame frame;     ///< last frame read; buffer reused
+    wire::RankBarrierData data;   ///< last barrier decoded; capacity reused
     RankStats stats;
     std::uint64_t barriers_done = 0;
     double last_barrier_time = 0.0;
@@ -405,7 +421,7 @@ class ProcessTransport final : public Transport {
 
   void send_frame(Rank& rank, std::uint32_t kind,
                   std::span<const std::uint8_t> payload);
-  wire::DecodedFrame read_frame(Rank& rank, double barrier_time);
+  const wire::DecodedFrame& read_frame(Rank& rank, double barrier_time);
   [[noreturn]] void fail_rank(Rank& rank, double barrier_time,
                               const std::string& what);
 

@@ -13,6 +13,8 @@
 //   3. round-trip property tests: randomized payloads survive
 //      encode -> decode -> re-encode bit-identically.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -54,6 +57,13 @@ void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
 }
 
+void patch_u32_le(std::vector<std::uint8_t>& out, std::size_t pos,
+                  std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out[pos + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
+}
+
 std::string thrown_message(const std::function<void()>& fn) {
   try {
     fn();
@@ -61,6 +71,15 @@ std::string thrown_message(const std::function<void()>& fn) {
     return e.what();
   }
   return {};
+}
+
+/// A count the payload cannot hold must be refused by the count check,
+/// before the decoder sizes anything from it: the message names the claim.
+/// (Were the check missing, the decoder would first try to allocate for
+/// the claimed count — gigabytes — and only then underflow.)
+void expect_count_rejected(const std::function<void()>& decode) {
+  const std::string what = thrown_message(decode);
+  EXPECT_NE(what.find("bytes remain"), std::string::npos) << what;
 }
 
 // --- envelope --------------------------------------------------------------
@@ -72,6 +91,41 @@ TEST(TransportWire, Crc32MatchesTheIeeeCheckValue) {
   const std::span<const std::uint8_t> payload(
       reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
   EXPECT_EQ(obs::crc32(payload), 0xCBF43926u);
+}
+
+/// Byte-at-a-time CRC-32 straight from the reflected polynomial: the
+/// reference the slicing-by-8 obs::crc32 must reproduce exactly.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(TransportWire, SlicedCrc32MatchesTheBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..72 cover the pure-tail case, exact multiples of the 8-byte
+  // stride and every remainder; offsets 0..7 every start alignment.
+  std::mt19937_64 rng(20261017);
+  std::vector<std::uint8_t> buf(80);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 72; ++length) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, length);
+      EXPECT_EQ(obs::crc32(s), reference_crc32(s))
+          << "offset=" << offset << " length=" << length;
+    }
+}
+
+TEST(TransportWire, SlicedCrc32MatchesTheBytewiseReferenceOnRandomMebibytes) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+    for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+    EXPECT_EQ(obs::crc32(buf), reference_crc32(buf)) << "seed=" << seed;
+  }
 }
 
 TEST(TransportWire, FrameEnvelopeMatchesTheGoldenBytes) {
@@ -150,6 +204,86 @@ TEST(TransportWire, DecodeRejectsOversizedLengthFields) {
   EXPECT_NE(what.find("size cap"), std::string::npos) << what;
 }
 
+/// A payload far larger than a socket buffer, so the gathered write has to
+/// resume after short writes.
+std::vector<std::uint8_t> large_payload(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// Runs `write` on a thread against one end of a socketpair while `read`
+/// consumes the other end.  The writer is joined on every path: the read
+/// end is closed first, so a writer blocked on a full socket fails instead
+/// of hanging the test.
+void with_socket_writer(const std::function<void(int)>& write,
+                        const std::function<void(int)>& read) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] {
+    try {
+      write(fds[1]);
+    } catch (const std::exception&) {
+    }
+  });
+  try {
+    read(fds[0]);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  ::close(fds[0]);
+  writer.join();
+  ::close(fds[1]);
+}
+
+TEST(TransportWire, WriteFrameSendsExactlyTheEncodedFrameBytes) {
+  const std::vector<std::uint8_t> big = large_payload(3u << 20, 5);
+  const std::vector<std::uint8_t> empty;
+  std::vector<std::uint8_t> expected = wire::encode_frame(0x20, big);
+  const std::vector<std::uint8_t> tail = wire::encode_frame(0x11, empty);
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  std::vector<std::uint8_t> got;
+  with_socket_writer(
+      [&](int fd) {
+        wire::write_frame(fd, 0x20, big);
+        wire::write_frame(fd, 0x11, empty);
+        ::shutdown(fd, SHUT_WR);
+      },
+      [&](int fd) {
+        std::uint8_t chunk[65536];
+        for (ssize_t n; (n = ::read(fd, chunk, sizeof chunk)) > 0;)
+          got.insert(got.end(), chunk, chunk + n);
+      });
+  EXPECT_TRUE(got == expected) << got.size() << " vs " << expected.size();
+}
+
+TEST(TransportWire, ReadFrameDeadlineReturnsTheRecycledReceiveBuffer) {
+  const std::vector<std::uint8_t> big = large_payload(2u << 20, 6);
+  const std::vector<std::uint8_t> small = large_payload(1000, 7);
+  with_socket_writer(
+      [&](int fd) {
+        wire::write_frame(fd, wire::kFrameBarrier, big);
+        wire::write_frame(fd, wire::kFrameBarrier, small);
+        wire::write_frame(fd, wire::kFrameFinal, {});
+      },
+      [&](int fd) {
+        wire::DecodedFrame frame = wire::read_frame_deadline(fd, 5000);
+        EXPECT_EQ(frame.kind, wire::kFrameBarrier);
+        EXPECT_TRUE(frame.payload == big);
+        // The next frames land in the same allocation; the CRC tail is
+        // trimmed off, not copied away.
+        const std::uint8_t* buffer = frame.payload.data();
+        frame = wire::read_frame_deadline(fd, 5000, std::move(frame.payload));
+        EXPECT_EQ(frame.payload, small);
+        EXPECT_EQ(frame.payload.data(), buffer);
+        frame = wire::read_frame_deadline(fd, 5000, std::move(frame.payload));
+        EXPECT_EQ(frame.kind, wire::kFrameFinal);
+        EXPECT_TRUE(frame.payload.empty());
+        EXPECT_EQ(frame.payload.data(), buffer);
+      });
+}
+
 // --- barrier request -------------------------------------------------------
 
 TEST(TransportWire, BarrierRequestMatchesTheGoldenBytes) {
@@ -197,6 +331,13 @@ TEST(TransportWire, ThresholdsMatchTheGoldenBytes) {
   EXPECT_EQ(wire::encode_thresholds(values), golden);
   EXPECT_EQ(wire::decode_thresholds(golden), std::vector<double>(
                                                  {1.0, -1.0}));
+}
+
+TEST(TransportWire, ThresholdsRejectACountThePayloadCannotHold) {
+  // 12 bytes claiming 2^28 values (2 GiB): refused before the vector exists.
+  std::vector<std::uint8_t> hostile = bytes({0x00, 0x00, 0x00, 0x10});
+  append_f64_le(hostile, 1.0);
+  expect_count_rejected([&] { wire::decode_thresholds(hostile); });
 }
 
 // --- device totals ---------------------------------------------------------
@@ -253,6 +394,13 @@ TEST(TransportWire, DeviceTotalsRejectMalformedPayloads) {
       bytes({0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00});
   what = thrown_message([&] { wire::decode_device_totals(inverted); });
   EXPECT_NE(what.find("inverted"), std::string::npos) << what;
+}
+
+TEST(TransportWire, DeviceTotalsRejectARangeThePayloadCannotHold) {
+  // Devices [0, 2^28) would be 14 GiB of totals; the payload has none.
+  const std::vector<std::uint8_t> hostile =
+      bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10});
+  expect_count_rejected([&] { wire::decode_device_totals(hostile); });
 }
 
 // --- barrier payload -------------------------------------------------------
@@ -373,6 +521,142 @@ TEST(TransportWire, BarrierPayloadRejectsTruncation) {
   }
 }
 
+/// One shard, no clusters, no optional blocks, no queue sums, `records`
+/// unmeasured log entries.  Layout: u32 shard count (offset 0), shard u32,
+/// five u64 counters, u32 cluster count (offset 48), u8 flipped, u32 log
+/// count (offset 53), the records from offset 57, then three u8 flags.
+std::vector<std::uint8_t> one_shard_payload(std::size_t records) {
+  std::vector<sim::OffloadRecord> log(records);
+  for (std::size_t i = 0; i < records; ++i) {
+    log[i].time = static_cast<double>(i);
+    log[i].device = static_cast<std::uint32_t>(i);
+  }
+  ShardBarrierView v;
+  v.log = log;
+  const std::vector<std::uint8_t> enc =
+      wire::encode_barrier_payload(std::span(&v, 1), false, 0.0, 0.0);
+  EXPECT_EQ(enc.size(), 57 + records * wire::kOffloadRecordWireSize + 3);
+  return enc;
+}
+
+TEST(TransportWire, BarrierPayloadRejectsCountsThePayloadCannotHold) {
+  {
+    std::vector<std::uint8_t> hostile =
+        wire::encode_barrier_payload({}, false, 0.0, 0.0);
+    patch_u32_le(hostile, 0, 0x0FFFFFFFu);  // shard count
+    expect_count_rejected([&] { wire::decode_barrier_payload(hostile); });
+  }
+  {
+    std::vector<std::uint8_t> hostile = one_shard_payload(0);
+    patch_u32_le(hostile, 48, 0x10000000u);  // cluster count
+    expect_count_rejected([&] { wire::decode_barrier_payload(hostile); });
+  }
+  {
+    std::vector<std::uint8_t> hostile = one_shard_payload(0);
+    patch_u32_le(hostile, 53, 0xFFFFFFFFu);  // log count
+    expect_count_rejected([&] { wire::decode_barrier_payload(hostile); });
+  }
+  {
+    // Three records on the wire, four claimed: one record too many.
+    std::vector<std::uint8_t> hostile = one_shard_payload(3);
+    patch_u32_le(hostile, 53, 4);
+    expect_count_rejected([&] { wire::decode_barrier_payload(hostile); });
+  }
+}
+
+TEST(TransportWire, BarrierPayloadReadsAnyNonZeroFlagByteAsTrue) {
+  // The log is decoded in bulk, but the two flag bytes are read as
+  // `byte != 0`, never copied into a bool: 0x02 and 0xFF mean true (and
+  // would be invalid bools under -fsanitize=bool if copied as is).
+  std::vector<std::uint8_t> enc = one_shard_payload(2);
+  const std::size_t rec0 = 57;
+  const std::size_t rec1 = rec0 + wire::kOffloadRecordWireSize;
+  EXPECT_EQ(enc[rec0 + 30], 0x00);
+  EXPECT_EQ(enc[rec0 + 31], 0x00);
+  enc[rec0 + 30] = 0x02;
+  enc[rec0 + 31] = 0xFF;
+  enc[rec1 + 31] = 0x80;
+  const wire::RankBarrierData back = wire::decode_barrier_payload(enc);
+  ASSERT_EQ(back.shards.size(), 1u);
+  ASSERT_EQ(back.shards[0].log.size(), 2u);
+  const sim::OffloadRecord& a = back.shards[0].log[0];
+  const sim::OffloadRecord& b = back.shards[0].log[1];
+  EXPECT_TRUE(a.measured);
+  EXPECT_TRUE(a.penalized);
+  EXPECT_FALSE(b.measured);
+  EXPECT_TRUE(b.penalized);
+  EXPECT_EQ(a.time, 0.0);
+  EXPECT_EQ(b.time, 1.0);
+  EXPECT_EQ(b.device, 1u);
+  // Re-encoding writes the canonical 0x01.
+  const std::vector<std::uint8_t> canon = wire::encode_barrier_payload(
+      back.views(), back.has_q, back.total_q, back.total_q2);
+  EXPECT_EQ(canon[rec0 + 30], 0x01);
+  EXPECT_EQ(canon[rec0 + 31], 0x01);
+  EXPECT_EQ(canon[rec1 + 30], 0x00);
+  EXPECT_EQ(canon[rec1 + 31], 0x01);
+}
+
+TEST(TransportWire, ManyShardBarrierPayloadWithEmptyLogsRoundTrips) {
+  // Five shards, three of them with empty logs, decoded both fresh and
+  // into a recycled RankBarrierData that still holds a larger, differently
+  // shaped earlier barrier: both must give the same state.
+  wire::RankBarrierData data;
+  data.shards.resize(5);
+  const std::size_t log_sizes[] = {0, 3, 0, 0, 7};
+  std::mt19937_64 rng(11);
+  for (std::size_t i = 0; i < data.shards.size(); ++i) {
+    wire::RankBarrierData::Shard& s = data.shards[i];
+    s.shard = static_cast<std::uint32_t>(10 + i);
+    s.events = rng();
+    s.cluster_offloads = {rng() % 7, rng() % 7};
+    s.log.resize(log_sizes[i]);
+    for (sim::OffloadRecord& rec : s.log) {
+      rec.time = static_cast<double>(rng() % 1000) / 8.0;
+      rec.latency = static_cast<double>(rng() % 1000) / 16.0;
+      rec.device = static_cast<std::uint32_t>(rng() % 100000);
+      rec.cluster = static_cast<std::uint16_t>(rng() % 2);
+      rec.measured = (rng() % 2) != 0;
+      rec.penalized = (rng() % 2) != 0;
+    }
+  }
+  const std::vector<std::uint8_t> enc =
+      wire::encode_barrier_payload(data.views(), false, 0.0, 0.0);
+
+  const wire::RankBarrierData fresh = wire::decode_barrier_payload(enc);
+  wire::RankBarrierData recycled = sample_rank_data(3);
+  recycled.shards.resize(7);
+  recycled.shards[4].log.resize(100);
+  recycled = wire::decode_barrier_payload(enc, std::move(recycled));
+
+  for (const wire::RankBarrierData* back :
+       std::initializer_list<const wire::RankBarrierData*>{&fresh,
+                                                           &recycled}) {
+    EXPECT_EQ(wire::encode_barrier_payload(back->views(), back->has_q,
+                                           back->total_q, back->total_q2),
+              enc);
+    ASSERT_EQ(back->shards.size(), 5u);
+    EXPECT_FALSE(back->has_q);
+    EXPECT_EQ(back->total_q, 0.0);
+    for (std::size_t i = 0; i < 5; ++i) {
+      const wire::RankBarrierData::Shard& s = back->shards[i];
+      EXPECT_EQ(s.shard, data.shards[i].shard);
+      EXPECT_EQ(s.cluster_offloads, data.shards[i].cluster_offloads);
+      ASSERT_EQ(s.log.size(), log_sizes[i]);
+      for (std::size_t k = 0; k < s.log.size(); ++k) {
+        EXPECT_EQ(s.log[k].time, data.shards[i].log[k].time);
+        EXPECT_EQ(s.log[k].device, data.shards[i].log[k].device);
+        EXPECT_EQ(s.log[k].measured, data.shards[i].log[k].measured);
+        EXPECT_EQ(s.log[k].penalized, data.shards[i].log[k].penalized);
+      }
+      EXPECT_FALSE(s.has_sketches);
+      EXPECT_EQ(s.local_sojourns.count(), 0u);
+      EXPECT_FALSE(s.has_queue_stats);
+      EXPECT_EQ(s.queue_depth, 0.0);
+    }
+  }
+}
+
 // --- .meclog envelope ------------------------------------------------------
 
 std::string test_scoped_path(const std::string& suffix) {
@@ -426,6 +710,12 @@ TEST(RunLogWire, ScanTreatsAPartialTailFrameAsTruncation) {
   EXPECT_FALSE(scan.footer.has_value());
   EXPECT_EQ(scan.windows.size(), 1u);
   std::filesystem::remove(path);
+}
+
+TEST(RunLogWire, MetaAndCounterFramesRejectCountsThePayloadCannotHold) {
+  const std::vector<std::uint8_t> hostile = bytes({0xFF, 0xFF, 0xFF, 0x0F});
+  expect_count_rejected([&] { obs::decode_meta(hostile); });
+  expect_count_rejected([&] { obs::decode_counters(hostile); });
 }
 
 // --- TCP handshake + population frames (net/protocol.cpp) ------------------
@@ -666,6 +956,23 @@ TEST(NetWire, PopulationRejectsTruncationAtEveryByteBoundary) {
     const std::span<const std::uint8_t> prefix(payload.data(), cut);
     EXPECT_THROW(net::wire::decode_population(prefix), RuntimeError)
         << "cut=" << cut;
+  }
+}
+
+TEST(NetWire, PopulationRejectsCountsThePayloadCannotHold) {
+  // With empty arrays the count fields sit at fixed offsets: service data
+  // (83), latency data (96), users (100), actions (104).
+  net::wire::WorkerPopulation pop = sample_population();
+  pop.service.data.clear();
+  pop.latency.data.clear();
+  pop.users.clear();
+  pop.actions.clear();
+  const std::vector<std::uint8_t> payload = net::wire::encode_population(pop);
+  ASSERT_EQ(payload.size(), 108u);
+  for (const std::size_t pos : {83, 96, 100, 104}) {
+    std::vector<std::uint8_t> hostile = payload;
+    patch_u32_le(hostile, pos, 0x10000000u);
+    expect_count_rejected([&] { net::wire::decode_population(hostile); });
   }
 }
 
