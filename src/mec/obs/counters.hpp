@@ -36,6 +36,8 @@ enum class Counter : std::uint16_t {
   kRankPayloadBytes = 12,        ///< cumulative payload bytes shipped
   kTransportFramesSent = 13,     ///< frames coordinator -> rank (cumulative)
   kTransportFramesReceived = 14, ///< frames rank -> coordinator (cumulative)
+  kReplaySeconds = 15,  ///< coordinator wall seconds in the gamma replay
+                        ///< since the last counter frame (global)
   kCount
 };
 
@@ -57,6 +59,7 @@ constexpr const char* counter_name(Counter id) noexcept {
     case Counter::kRankPayloadBytes: return "rank_payload_bytes";
     case Counter::kTransportFramesSent: return "transport_frames_sent";
     case Counter::kTransportFramesReceived: return "transport_frames_received";
+    case Counter::kReplaySeconds: return "replay_seconds";
     case Counter::kCount: break;
   }
   return "unknown";

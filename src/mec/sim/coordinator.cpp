@@ -1,6 +1,7 @@
 #include "mec/sim/coordinator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -105,6 +106,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
   // their logs at the start of the next advance.
   std::vector<std::span<const OffloadRecord>> log_spans;
   std::uint64_t replay_backlog = 0;  ///< records drained since last counters
+  double replay_seconds = 0.0;       ///< consume() wall time, same window
   const auto drain_logs =
       [&](std::span<const parallel::ShardBarrierView> views) {
         if (has_fixed_gamma) return;
@@ -113,7 +115,12 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
           log_spans.push_back(v.log);
           replay_backlog += v.log.size();
         }
-        replay->consume(log_spans, replay_delay.data(), offload_delays);
+        const auto t0 = std::chrono::steady_clock::now();
+        replay->consume(log_spans, replay_delay.data(), offload_delays,
+                        cc.replay_pool);
+        replay_seconds += std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
       };
 
   // Environment cursor for sample reads in fixed-gamma mode (the replay
@@ -284,6 +291,10 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
                                   leg_max
                             : 0.0);
           counter_prev_events = events_now;
+          if (!has_fixed_gamma)
+            add(obs::Counter::kReplaySeconds, obs::kGlobalShard,
+                replay_seconds);
+          replay_seconds = 0.0;
           if (transport.metered()) {
             for (std::size_t r = 0; r < transport.ranks(); ++r) {
               const parallel::RankStats rs = transport.rank_stats(r);

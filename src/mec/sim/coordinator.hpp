@@ -20,6 +20,7 @@
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_plan.hpp"
+#include "mec/parallel/thread_pool.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/sim/mec_simulation.hpp"
 
@@ -49,6 +50,9 @@ struct CoordinatorContext {
   bool with_faults = false;
   bool measuring_from_start = false;
   std::size_t shard_count = 1;
+  /// Pool for the replay's parallel phases (null: inline).  In-process
+  /// runs share it with the legs, which never overlap the replay.
+  parallel::ThreadPool* replay_pool = nullptr;
 };
 
 /// One full run over an already-initialized rank fleet: grid-stepped

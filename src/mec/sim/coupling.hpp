@@ -8,7 +8,9 @@
 // independently and log each offload as an OffloadRecord; the
 // gamma-dependent quantities (EWMA touchpoints, g(gamma) applications,
 // delivery completion times, offload-delay metrics) are then reproduced by
-// GammaReplay, a serial pass over the merged, time-ordered log.
+// GammaReplay over the merged, time-ordered log.  Only the EWMA chain
+// itself (one multiply-add per record) is serial; the merge, the decay
+// factors and the g(gamma) work around it run on a pool (see consume()).
 //
 // Determinism contract: EwmaRate's exponential decay is *not* decomposable
 // (exp(-a)*exp(-b) != exp(-(a+b)) in floating point), so the replay touches
@@ -37,6 +39,10 @@
 #include "mec/fault/fault_plan.hpp"
 #include "mec/sim/device_state.hpp"
 #include "mec/stats/latency_sketch.hpp"
+
+namespace mec::parallel {
+class ThreadPool;
+}  // namespace mec::parallel
 
 namespace mec::sim {
 
@@ -100,10 +106,32 @@ class EwmaRate {
     return rate_;
   }
 
+  /// rate_at(now) followed by record_event(now), returning the rate read.
+  /// `factor` is decay_factor(last, now) when the caller computed it ahead
+  /// from the operands decay_to would use; any negative value computes it
+  /// here.  Either way the bits equal the two-call sequence.
+  double read_and_record(double now, double factor) {
+    if (now > last_) {
+      rate_ *= factor >= 0.0 ? factor : decay_factor(last_, now);
+      last_ = now;
+    }
+    const double read = rate_;
+    rate_ += 1.0 / tau_;
+    return read;
+  }
+
+  /// The decay multiplier from instant `from` to instant `to`.
+  double decay_factor(double from, double to) const {
+    return std::exp(-(to - from) / tau_);
+  }
+
+  /// Instant of the last decay (0 before the first).
+  double last() const noexcept { return last_; }
+
  private:
   void decay_to(double now) {
     if (now > last_) {
-      rate_ *= std::exp(-(now - last_) / tau_);
+      rate_ *= decay_factor(last_, now);
       last_ = now;
     }
   }
@@ -126,7 +154,7 @@ struct OffloadRecord {
   bool penalized = false;  ///< a kPenalty outage window was open
 };
 
-/// Serial replay of the gamma-coupled quantities over merged shard logs.
+/// Replay of the gamma-coupled quantities over merged shard logs.
 /// Lives for one run; consume() is called once per leg (all records
 /// produced by that leg), gamma_at() once per sample/epoch grid read, in
 /// strict time order.  Each shard's log is time-sorted by construction;
@@ -158,6 +186,15 @@ class GammaReplay {
   /// EWMA, accumulates the measured per-device offload-delay sums and the
   /// delay sketch, and counts edge deliveries landing inside the horizon.
   ///
+  /// Three phases, bit-identical to one serial K-way merge loop:
+  ///   1. merge + decay factors, one task per time slice on `pool`;
+  ///   2. the EWMA chain, serial, in merged order;
+  ///   3. g(gamma), deliveries and delay sums, one task per shard on `pool`.
+  /// `pool` may be null (everything inline); a barrier smaller than
+  /// kSliceRecords runs inline either way.  Requires every device's
+  /// records to sit in one shard's log (the engine's contiguous device
+  /// partitions) and `delay` to be safe to call concurrently.
+  ///
   /// `offload_delay_sums` is an n_devices array owned by the coordinator,
   /// not the DeviceState field: the replay runs in the coordinator while
   /// device states may live in worker processes, and the two accumulations
@@ -166,7 +203,12 @@ class GammaReplay {
   /// of the two sources.
   void consume(std::span<const std::span<const OffloadRecord>> logs,
                double* offload_delay_sums,
-               stats::LatencySketch& offload_delays);
+               stats::LatencySketch& offload_delays,
+               parallel::ThreadPool* pool = nullptr);
+
+  /// Records per merge slice (phase 1): a barrier with fewer records is
+  /// one slice, run inline.
+  static constexpr std::size_t kSliceRecords = std::size_t{1} << 14;
 
   /// Utilization estimate at a grid instant (left limit: environment
   /// actions at exactly `at` are not yet applied).  Mutates the EWMA decay
@@ -181,7 +223,7 @@ class GammaReplay {
     double cap = 0.0;
     for (std::size_t k = 0; k < bank_.size(); ++k) {
       rate += bank_[k].rate_at(at);
-      cap += caps_[k] * walk_.scale * walk_.cluster_scale[k];
+      cap += capacity_of(k);
     }
     return std::clamp(rate / cap, 0.0, 1.0);
   }
@@ -208,7 +250,23 @@ class GammaReplay {
   bool delivery_flip_trigger() const noexcept { return flip_trigger_; }
 
  private:
+  /// Effective capacity of `cluster` under the walk's current scales.
+  double capacity_of(std::size_t cluster) const {
+    return caps_[cluster] * walk_.scale * walk_.cluster_scale[cluster];
+  }
   double clamped_gamma(double rate, std::size_t cluster) const;
+  void merge_slice(std::span<const std::span<const OffloadRecord>> logs,
+                   std::size_t slice, double floor);
+  void replay_chain(std::span<const std::span<const OffloadRecord>> logs);
+  void apply_shard(std::span<const OffloadRecord> log, std::size_t shard,
+                   double* offload_delay_sums);
+
+  /// One shard's phase-3 totals, folded serially in shard order.
+  struct ShardTotals {
+    std::uint64_t deliveries = 0;
+    bool flip_trigger = false;
+    stats::LatencySketch delays;
+  };
 
   const core::EdgeDelay* delay_;
   std::vector<EwmaRate> bank_;  ///< one EWMA per cluster
@@ -218,7 +276,16 @@ class GammaReplay {
   double t_end_;
   std::uint64_t deliveries_ = 0;
   bool flip_trigger_ = false;
-  std::vector<std::size_t> cursors_;  ///< per-shard scratch for the merge
+  // consume() scratch, reused across barriers.  A record's *slot* is its
+  // shard's offset plus its index in that shard's log.
+  std::vector<std::size_t> offsets_;  ///< first slot per shard (+ total)
+  std::vector<std::size_t> cuts_;     ///< per slice boundary, per shard index
+  std::vector<std::uint32_t> merged_shard_;  ///< shard of each merged record
+  /// Per slot: the decay factor from phase 1 (negative: none), then gamma.
+  std::vector<double> slot_values_;
+  std::vector<std::size_t> cursors_;    ///< phase-2 per-shard read index
+  std::vector<double> capacities_;      ///< phase-2 capacity_of() cache
+  std::vector<ShardTotals> shard_totals_;
   std::vector<double> gammas_;        ///< cluster_gammas() scratch
 };
 

@@ -77,6 +77,20 @@ struct SimWorkspace::Impl {
 
 namespace engine {
 
+/// The workspace pool, sized min(K, hardware threads), or null for K = 1
+/// (a single-shard run spawns no threads, so replication and sweep callers
+/// running many K = 1 runs side by side do not oversubscribe).  Shared by
+/// the in-process legs and the coordinator's replay, which never overlap.
+inline parallel::ThreadPool* workspace_pool(SimWorkspace::Impl& ws,
+                                           std::size_t shard_count) {
+  if (shard_count <= 1) return nullptr;
+  const std::size_t lanes =
+      std::min(shard_count, parallel::resolve_thread_count(0));
+  if (!ws.pool || ws.pool->thread_count() != lanes)
+    ws.pool = std::make_unique<parallel::ThreadPool>(lanes);
+  return ws.pool.get();
+}
+
 /// One full simulation run: workspace/shard setup, transport selection, and
 /// the coordinator's barrier-stepped loop.
 template <bool WithFaults, class Decide>
@@ -163,7 +177,8 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
             "boundary)");
     }
     // The pool must not cross fork() (its worker threads would not exist in
-    // the children); each rank builds its own pool for its slice.
+    // the children); each rank builds its own pool for its slice, and the
+    // coordinator's replay pool is rebuilt once the ranks are forked.
     ws.pool.reset();
     const std::size_t workers = std::min<std::size_t>(
         options.workers == 0 ? 2 : options.workers, shard_count);
@@ -188,6 +203,7 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
               ws, TroValueDecide{mirror.data()}, wlc, shard_lo, shard_hi,
               nullptr, &mirror);
         });
+    cc.replay_pool = workspace_pool(ws, shard_count);
     return coordinator_run(cc, transport);
   }
 
@@ -261,15 +277,11 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
     cfg.shard_count = shard_count;
     cfg.n_devices = n_devices;
     net::TcpTransport transport(cfg, payloads, mirror);
+    cc.replay_pool = workspace_pool(ws, shard_count);
     return coordinator_run(cc, transport);
   }
 
-  if (shard_count > 1) {
-    const std::size_t lanes =
-        std::min(shard_count, parallel::resolve_thread_count(0));
-    if (!ws.pool || ws.pool->thread_count() != lanes)
-      ws.pool = std::make_unique<parallel::ThreadPool>(lanes);
-  }
+  cc.replay_pool = workspace_pool(ws, shard_count);
   const LegContext<Decide> lc{users.data(),     ws.devices.data(),
                               ws.rngs.data(),   &decide,
                               &options.service, &options.latency,
@@ -277,9 +289,7 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
                               n_devices,        n_clusters,
                               has_fixed_gamma,  fixed_delay};
   LegRunner<WithFaults, Decide> runner(ws, decide, lc, 0, shard_count,
-                                       shard_count > 1 ? ws.pool.get()
-                                                       : nullptr,
-                                       nullptr);
+                                       cc.replay_pool, nullptr);
   parallel::InProcessTransport transport(runner);
   return coordinator_run(cc, transport);
 }

@@ -4,8 +4,8 @@
 // independently per shard and merges them at the end of a run, so the
 // container must be *exactly* mergeable: merging K partial sketches has to
 // give the same object as feeding one sketch the union of the samples, in
-// any order.  P-square estimators (stats/quantile.hpp) are order-dependent
-// and cannot be combined, so the simulator uses this log-binned histogram
+// any order.  P-square estimators are order-dependent and cannot be
+// combined, so the simulator uses this log-binned histogram
 // instead: integer bin counts make add/merge associative, commutative, and
 // bit-exact, at the price of a bounded relative quantile error (one bin
 // width, ~1.1% with 64 bins per octave).

@@ -9,19 +9,29 @@
 //     every cluster count, and the offload *decisions* are invariant to the
 //     topology (devices never see gamma when deciding);
 //   - GammaReplay's cross-leg merge produces per-cluster gamma trajectories
-//     bit-identical to a serial replay of the pre-merged log;
+//     bit-identical to a serial replay of the pre-merged log, and its pooled
+//     three-phase consume matches the single-pass K-way merge bit for bit
+//     at every lane count;
 //   - malformed topologies are rejected up front.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
+#include "mec/fault/fault_plan.hpp"
 #include "mec/fault/fault_schedule.hpp"
+#include "mec/parallel/thread_pool.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/mec_simulation.hpp"
@@ -282,6 +292,298 @@ TEST(GammaReplayMerge, MultiLegMergeMatchesSerialReference) {
   for (std::uint32_t dev = 0; dev < kDevices; ++dev) {
     EXPECT_EQ(multi_delay_sums[dev], serial_delay_sums[dev])
         << "device " << dev;
+  }
+}
+
+// --- GammaReplay: pooled phases == the serial K-way merge -----------------
+
+// The single-pass K-way merge consume() ran before the replay was split
+// into pooled phases, kept here as the reference: earliest record first,
+// lowest shard at exact ties, every gamma-dependent quantity applied in
+// that one pass.  Grid reads mirror GammaReplay's.
+class SerialReplay {
+ public:
+  SerialReplay(const core::EdgeDelay& delay, double tau, double initial_gamma,
+               double edge_capacity, double warmup, double t_end,
+               std::uint32_t n_initial,
+               std::span<const fault::ResolvedAction> actions,
+               const sim::ClusterTopology& topology)
+      : delay_(&delay), warmup_(warmup), t_end_(t_end) {
+    for (std::size_t k = 0; k < topology.clusters; ++k) {
+      caps_.push_back(edge_capacity * topology.share(k));
+      bank_.emplace_back(tau, initial_gamma * caps_[k]);
+    }
+    walk_.actions = actions;
+    walk_.active = n_initial;
+    walk_.cluster_scale.assign(topology.clusters, 1.0);
+  }
+
+  void consume(std::span<const std::span<const sim::OffloadRecord>> logs,
+               double* offload_delay_sums,
+               stats::LatencySketch& offload_delays) {
+    std::vector<std::size_t> cursors(logs.size(), 0);
+    for (;;) {
+      std::size_t best = logs.size();
+      double best_time = 0.0;
+      for (std::size_t s = 0; s < logs.size(); ++s) {
+        if (cursors[s] >= logs[s].size()) continue;
+        const double t = logs[s][cursors[s]].time;
+        if (best == logs.size() || t < best_time) {
+          best = s;
+          best_time = t;
+        }
+      }
+      if (best == logs.size()) break;
+      const sim::OffloadRecord& r = logs[best][cursors[best]++];
+      walk_.advance_to(r.time, /*inclusive=*/true);
+      sim::EwmaRate& rate = bank_[r.cluster];
+      const double gamma = clamped_gamma(rate.rate_at(r.time), r.cluster);
+      double delay_value = (*delay_)(gamma);
+      if (r.penalized) delay_value += r.penalty;
+      rate.record_event(r.time);
+      const double delivery = r.time + r.latency + delay_value;
+      if (delivery <= t_end_) {
+        ++deliveries_;
+        if (delivery >= warmup_) flip_trigger_ = true;
+      }
+      if (r.measured) {
+        offload_delay_sums[r.device] += r.latency + delay_value;
+        offload_delays.add(r.latency + delay_value);
+      }
+    }
+  }
+
+  double gamma_at(double at) {
+    walk_.advance_to(at, /*inclusive=*/false);
+    if (bank_.size() == 1) return clamped_gamma(bank_[0].rate_at(at), 0);
+    double rate = 0.0;
+    double cap = 0.0;
+    for (std::size_t k = 0; k < bank_.size(); ++k) {
+      rate += bank_[k].rate_at(at);
+      cap += caps_[k] * walk_.scale * walk_.cluster_scale[k];
+    }
+    return std::clamp(rate / cap, 0.0, 1.0);
+  }
+
+  std::vector<double> cluster_gammas(double at) {
+    walk_.advance_to(at, /*inclusive=*/false);
+    std::vector<double> gammas;
+    for (std::size_t k = 0; k < bank_.size(); ++k)
+      gammas.push_back(clamped_gamma(bank_[k].rate_at(at), k));
+    return gammas;
+  }
+
+  std::uint64_t deliveries() const { return deliveries_; }
+  bool delivery_flip_trigger() const { return flip_trigger_; }
+
+ private:
+  double clamped_gamma(double rate, std::size_t k) const {
+    return std::clamp(
+        rate / (caps_[k] * walk_.scale * walk_.cluster_scale[k]), 0.0, 1.0);
+  }
+
+  const core::EdgeDelay* delay_;
+  std::vector<sim::EwmaRate> bank_;
+  std::vector<double> caps_;
+  fault::EnvWalk walk_;
+  double warmup_;
+  double t_end_;
+  std::uint64_t deliveries_ = 0;
+  bool flip_trigger_ = false;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One barrier's input: the shard logs and the grid instant read after it.
+struct ReplayBarrier {
+  std::vector<std::vector<sim::OffloadRecord>> logs;
+  double read_at = 0.0;
+};
+
+/// Everything a replay exposes, read after every barrier.
+struct ReplayOutcome {
+  std::vector<double> reads;  ///< cluster gammas + aggregate, per barrier
+  std::vector<std::uint64_t> deliveries;
+  std::vector<double> delay_sums;
+  stats::LatencySketch delays;
+  bool flip_trigger = false;
+};
+
+constexpr std::uint32_t kBatteryDevices = 90;
+constexpr double kBatteryTau = 0.7;
+constexpr double kBatteryCapacity = 60000.0;
+constexpr double kBatteryWarmup = 3.0;
+constexpr double kBatteryEnd = 10.0;
+
+sim::ClusterTopology battery_topology() {
+  sim::ClusterTopology t;
+  t.clusters = 3;
+  t.shares = {0.5, 0.3, 0.2};
+  return t;
+}
+
+/// Capacity-scale actions inside barriers, global and per cluster; two sit
+/// on the 1/97 grid of the quantized barriers below and one on the tied
+/// instant of the last run barrier, so records share their instants.
+std::vector<fault::ResolvedAction> battery_actions() {
+  const auto scale = [](double time, double value, std::uint16_t cluster) {
+    fault::ResolvedAction a;
+    a.time = time;
+    a.kind = fault::FaultKind::kCapacityScale;
+    a.value = value;
+    a.cluster = cluster;
+    a.effective = true;
+    a.active_after = kBatteryDevices;
+    return a;
+  };
+  return {scale(1.5, 0.6, fault::FaultAction::kAllClusters),
+          scale(3.0 + 40.0 / 97.0, 0.5, 1),
+          scale(4.25, 1.0, fault::FaultAction::kAllClusters),
+          scale(6.0 + 13.0 / 97.0, 0.3, 2),
+          scale(7.7, 1.0, 1),
+          scale(8.5, 1.0, 2)};
+}
+
+/// Barrier b covers [b, b + 1) and is read at b + 1.  Four shards own
+/// devices [0, 30), [] (always empty), [30, 60) and [60, 90); shard 3 is
+/// the largest, so the splitters come from a log that loses exact ties to
+/// lower shards.  Modes: 0 continuous times; 1 times quantized to 1/97
+/// (exact ties within and across shards, records at the barrier's start
+/// instant, and at two fault instants); 2 continuous with a long run of
+/// one time in every non-empty shard, wide enough to hold several slice
+/// splitters; 3 continuous with cluster 2 silent after the first fifth
+/// (later slices miss a cluster); 4 continuous from half a unit before the
+/// barrier's start, so records precede the last grid read (the engine
+/// never does this, but the replay must still match the serial merge).
+std::vector<ReplayBarrier> battery_barriers() {
+  const std::size_t grain = sim::GammaReplay::kSliceRecords;
+  const struct {
+    std::size_t records;
+    int mode;
+  } shapes[] = {{0, 0},         {5, 1},         {2 * grain + 1, 4},
+                {grain, 1},     {2 * grain + 3, 3},
+                {3 * grain, 2}, {4 * grain + 11, 1},
+                {grain + 1, 3}, {5 * grain + 7, 2},
+                {3 * grain + 1, 0}};
+  const std::uint32_t lo[] = {0, 30, 30, 60};
+  const std::uint32_t hi[] = {30, 30, 60, 90};
+  const double weight[] = {0.2, 0.0, 0.35, 0.45};
+  random::Xoshiro256 rng(4242);
+  std::vector<ReplayBarrier> barriers;
+  for (std::size_t b = 0; b < std::size(shapes); ++b) {
+    const double t0 = static_cast<double>(b);
+    ReplayBarrier barrier;
+    barrier.read_at = t0 + 1.0;
+    barrier.logs.resize(4);
+    const double tied = t0 + 0.5;
+    for (std::size_t s = 0; s < 4; ++s) {
+      const auto count = static_cast<std::size_t>(
+          weight[s] * static_cast<double>(shapes[b].records) + 0.5);
+      std::vector<sim::OffloadRecord>& log = barrier.logs[s];
+      for (std::size_t i = 0; i < count; ++i) {
+        sim::OffloadRecord r;
+        const double u = random::uniform(rng, 0.0, 1.0);
+        switch (shapes[b].mode) {
+          case 1:
+            r.time = t0 + std::floor(u * 97.0) / 97.0;
+            break;
+          case 2:
+            r.time = (u > 0.3 && u < 0.7) ? tied : t0 + u;
+            break;
+          case 4:
+            r.time = t0 - 0.5 + 1.5 * u;
+            break;
+          default:
+            r.time = t0 + u;
+        }
+        do {
+          r.device = static_cast<std::uint32_t>(
+              lo[s] + random::uniform(rng, 0.0, 1.0) * (hi[s] - lo[s]));
+        } while (shapes[b].mode == 3 && r.device % 3 == 2 &&
+                 r.time > t0 + 0.2);
+        r.cluster = static_cast<std::uint16_t>(r.device % 3);
+        r.latency = random::uniform(rng, 0.05, 0.6);
+        r.measured = random::uniform(rng, 0.0, 1.0) < 0.8;
+        r.penalized = random::uniform(rng, 0.0, 1.0) < 0.2;
+        r.penalty = r.penalized ? 0.4 : 0.0;
+        log.push_back(r);
+      }
+      std::stable_sort(log.begin(), log.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.time < b.time;
+                       });
+    }
+    barriers.push_back(std::move(barrier));
+  }
+  return barriers;
+}
+
+template <class Replay, class Consume>
+ReplayOutcome drive_replay(Replay& replay,
+                           const std::vector<ReplayBarrier>& barriers,
+                           Consume consume) {
+  ReplayOutcome out;
+  out.delay_sums.assign(kBatteryDevices, 0.0);
+  for (const ReplayBarrier& b : barriers) {
+    std::vector<std::span<const sim::OffloadRecord>> views(b.logs.begin(),
+                                                           b.logs.end());
+    consume(replay, views, out.delay_sums.data(), out.delays);
+    const auto gammas = replay.cluster_gammas(b.read_at);
+    out.reads.insert(out.reads.end(), gammas.begin(), gammas.end());
+    out.reads.push_back(replay.gamma_at(b.read_at));
+    out.deliveries.push_back(replay.deliveries());
+  }
+  out.flip_trigger = replay.delivery_flip_trigger();
+  return out;
+}
+
+TEST(GammaReplayPhases, PooledConsumeIsBitIdenticalToSerialMerge) {
+  const core::EdgeDelay delay = core::make_reciprocal_delay();
+  const sim::ClusterTopology topology = battery_topology();
+  const std::vector<fault::ResolvedAction> actions = battery_actions();
+  const std::vector<ReplayBarrier> barriers = battery_barriers();
+
+  SerialReplay reference(delay, kBatteryTau, 0.3, kBatteryCapacity,
+                         kBatteryWarmup, kBatteryEnd, kBatteryDevices, actions,
+                         topology);
+  const ReplayOutcome want = drive_replay(
+      reference, barriers,
+      [](SerialReplay& r, auto logs, double* sums, stats::LatencySketch& sk) {
+        r.consume(logs, sums, sk);
+      });
+  // The battery must reach the cases it is named for.
+  ASSERT_GT(want.deliveries.back(), 0u);
+  ASSERT_TRUE(want.flip_trigger);
+  ASSERT_GT(want.delays.count(), 0u);
+
+  for (const std::size_t lanes : {0u, 1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("lanes = " + std::to_string(lanes));
+    std::optional<parallel::ThreadPool> pool;
+    if (lanes > 0) pool.emplace(lanes);
+    sim::GammaReplay replay(delay, kBatteryTau, 0.3, kBatteryCapacity,
+                            kBatteryWarmup, kBatteryEnd, kBatteryDevices,
+                            actions, topology);
+    const ReplayOutcome got = drive_replay(
+        replay, barriers,
+        [&](sim::GammaReplay& r, auto logs, double* sums,
+            stats::LatencySketch& sk) {
+          r.consume(logs, sums, sk, pool ? &*pool : nullptr);
+        });
+    ASSERT_EQ(got.reads.size(), want.reads.size());
+    for (std::size_t i = 0; i < want.reads.size(); ++i)
+      EXPECT_EQ(bits(got.reads[i]), bits(want.reads[i])) << "read " << i;
+    EXPECT_EQ(got.deliveries, want.deliveries);
+    EXPECT_EQ(got.flip_trigger, want.flip_trigger);
+    for (std::uint32_t d = 0; d < kBatteryDevices; ++d)
+      EXPECT_EQ(bits(got.delay_sums[d]), bits(want.delay_sums[d]))
+          << "device " << d;
+    EXPECT_EQ(got.delays.count(), want.delays.count());
+    EXPECT_EQ(bits(got.delays.min()), bits(want.delays.min()));
+    EXPECT_EQ(bits(got.delays.max()), bits(want.delays.max()));
+    const auto got_bins = got.delays.bin_counts();
+    const auto want_bins = want.delays.bin_counts();
+    EXPECT_TRUE(std::equal(got_bins.begin(), got_bins.end(),
+                           want_bins.begin(), want_bins.end()));
   }
 }
 

@@ -6,7 +6,6 @@
 #include "mec/common/error.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/stats/confidence.hpp"
-#include "mec/stats/histogram.hpp"
 #include "mec/stats/summary.hpp"
 
 namespace mec::stats {
@@ -74,32 +73,6 @@ TEST(TimeAverage, WeighsByDuration) {
                ContractViolation);
   EXPECT_THROW(time_average(values, std::vector<double>{0.0, 0.0}),
                ContractViolation);
-}
-
-TEST(HistogramTest, BinsAndClampsCorrectly) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps into bin 0
-  h.add(0.5);
-  h.add(3.0);
-  h.add(9.99);
-  h.add(42.0);   // clamps into last bin
-  EXPECT_EQ(h.total_count(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.mass(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_left_edge(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.density(0), 0.2);
-  EXPECT_THROW(h.count(5), ContractViolation);
-}
-
-TEST(HistogramTest, MassSumsToOne) {
-  Histogram h(0.0, 1.0, 7);
-  random::Xoshiro256 rng(2);
-  for (int i = 0; i < 10000; ++i) h.add(random::uniform01(rng));
-  double total = 0.0;
-  for (std::size_t i = 0; i < h.bins(); ++i) total += h.mass(i);
-  EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(NormalQuantile, MatchesKnownValues) {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,6 +34,7 @@
 #include "mec/population/scenario.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/closed_loop.hpp"
+#include "mec/sim/coupling.hpp"
 #include "mec/sim/mec_simulation.hpp"
 #include "mec/sim/policies.hpp"
 #include "mec/stats/latency_sketch.hpp"
@@ -219,22 +221,18 @@ TEST(TransportEquivalence, FaultsAndChurnAcrossClusters) {
   expect_transport_invariant(o, schedule);
 }
 
-TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
-  // The closed loop is the hardest case for the process backend: every
-  // epoch callback retunes MutableTroPolicy thresholds in the coordinator,
-  // which must be re-mirrored into the workers before the next leg.
-  const auto pop = population::sample_population(
-      population::theoretical_scenario(population::LoadRegime::kAtService, 60),
-      91);
-  sim::ClosedLoopOptions opt;
-  opt.horizon = 80.0;
-  opt.update_period = 5.0;
-  opt.eta0 = 0.2;
-  opt.shards = 4;
+/// Runs the closed loop in process, then through the forked backend at
+/// each worker count, expecting bit-identical loops and runs.
+/// `in_process`, when given, receives the in-process result.
+void expect_closed_loop_transport_invariant(
+    const population::Population& pop, sim::ClosedLoopOptions opt,
+    std::initializer_list<std::size_t> worker_counts,
+    sim::ClosedLoopResult* in_process = nullptr) {
   opt.transport = sim::TransportKind::kInProcess;
   const sim::ClosedLoopResult base =
       run_closed_loop(pop.users, pop.config.capacity, pop.config.delay, opt);
-  for (const std::size_t w : {2u, 3u}) {
+  if (in_process != nullptr) *in_process = base;
+  for (const std::size_t w : worker_counts) {
     opt.transport = sim::TransportKind::kProcess;
     opt.workers = w;
     const sim::ClosedLoopResult r =
@@ -256,6 +254,41 @@ TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
     }
     expect_result_identical(base.run, r.run);
   }
+}
+
+TEST(TransportEquivalence, ClosedLoopDtuCrossesTheProcessBoundary) {
+  // The closed loop is the hardest case for the process backend: every
+  // epoch callback retunes MutableTroPolicy thresholds in the coordinator,
+  // which must be re-mirrored into the workers before the next leg.
+  const auto pop = population::sample_population(
+      population::theoretical_scenario(population::LoadRegime::kAtService, 60),
+      91);
+  sim::ClosedLoopOptions opt;
+  opt.horizon = 80.0;
+  opt.update_period = 5.0;
+  opt.eta0 = 0.2;
+  opt.shards = 4;
+  expect_closed_loop_transport_invariant(pop, opt, {2, 3});
+}
+
+TEST(TransportEquivalence, MultiSliceReplayCrossesTheProcessBoundary) {
+  // Large enough that every epoch barrier replays several merge slices on
+  // the coordinator's pool, in-process and over the forked ranks alike.
+  const auto pop = population::sample_population(
+      population::theoretical_scenario(population::LoadRegime::kAtService,
+                                       20000),
+      17);
+  sim::ClosedLoopOptions opt;
+  opt.horizon = 20.0;
+  opt.update_period = 5.0;
+  opt.shards = 4;
+  sim::ClosedLoopResult base;
+  expect_closed_loop_transport_invariant(pop, opt, {2}, &base);
+  // Offloads per epoch barrier (the measurement window is the horizon).
+  std::uint64_t offloads = 0;
+  for (const sim::DeviceStats& d : base.run.devices) offloads += d.offloaded;
+  EXPECT_GT(static_cast<double>(offloads) * opt.update_period / opt.horizon,
+            2.0 * static_cast<double>(sim::GammaReplay::kSliceRecords));
 }
 
 std::string test_scoped_path(const std::string& suffix) {
