@@ -7,7 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -19,11 +18,6 @@
 #include "mec/common/error.hpp"
 
 namespace mec::net {
-
-void ScopedFd::reset() noexcept {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
 
 namespace {
 

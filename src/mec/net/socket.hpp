@@ -1,7 +1,7 @@
 // Thin TCP socket helpers for the net transport: resolve + connect with
 // bounded exponential backoff (daemons may still be starting when the
-// coordinator launches), listen/accept for the worker daemon, and a
-// move-only RAII fd so every error path closes its socket.
+// coordinator launches) and listen/accept for the worker daemon.  Every
+// socket is a parallel::ScopedFd, so every error path closes it.
 //
 // All sockets get TCP_NODELAY — barrier frames are small and
 // latency-sensitive, and the transport never streams partial frames that
@@ -9,37 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "mec/net/address.hpp"
+#include "mec/parallel/transport.hpp"
 
 namespace mec::net {
 
-/// Move-only owning file descriptor.
-class ScopedFd {
- public:
-  ScopedFd() = default;
-  explicit ScopedFd(int fd) noexcept : fd_(fd) {}
-  ~ScopedFd() { reset(); }
-  ScopedFd(ScopedFd&& other) noexcept : fd_(other.release()) {}
-  ScopedFd& operator=(ScopedFd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.release();
-    }
-    return *this;
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const noexcept { return fd_; }
-  bool valid() const noexcept { return fd_ >= 0; }
-  int release() noexcept { return std::exchange(fd_, -1); }
-  void reset() noexcept;
-
- private:
-  int fd_ = -1;
-};
+using parallel::ScopedFd;
 
 /// Connects to `address` within `timeout_ms` total, retrying refused or
 /// timed-out attempts with exponential backoff (50 ms doubling to 1.6 s) so

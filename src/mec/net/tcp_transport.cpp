@@ -1,11 +1,10 @@
 #include "mec/net/tcp_transport.hpp"
 
-#include <chrono>
-#include <cstring>
 #include <string>
 
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
+#include "mec/net/socket.hpp"
 #include "mec/obs/wire.hpp"
 
 namespace mec::net {
@@ -16,179 +15,55 @@ TcpTransport::TcpTransport(
     const Config& config,
     std::span<const std::vector<std::uint8_t>> populations,
     std::span<const double> initial_thresholds)
-    : config_(config) {
+    : FramedTransport(config.workers.size(), config.n_devices,
+                      "tcp transport", "closed the connection"),
+      addresses_(config.workers) {
   MEC_EXPECTS_MSG(!config.workers.empty() &&
                       config.workers.size() <= config.shard_count,
                   "tcp transport needs 1..shard_count workers");
   MEC_EXPECTS(populations.size() == config.workers.size());
   check_unique_worker_addresses(config.workers);
-  timeout_ms_ = parallel::resolve_transport_timeout_ms();
   const long connect_budget =
       config.connect_timeout_ms > 0 ? config.connect_timeout_ms : timeout_ms_;
 
-  const std::size_t workers = config.workers.size();
-  peers_.resize(workers);
-  for (std::size_t r = 0; r < workers; ++r) {
-    Peer& peer = peers_[r];
-    peer.address = config.workers[r];
-    peer.shard_lo = config.shard_count * r / workers;
-    peer.shard_hi = config.shard_count * (r + 1) / workers;
-  }
-
   // Connect + handshake + population, rank by rank; then one ready-barrier
   // pass so every worker builds its slice before the run starts.
+  const double t_setup = -1.0;  // no barrier yet
+  const std::size_t workers = addresses_.size();
   for (std::size_t r = 0; r < workers; ++r) {
-    Peer& peer = peers_[r];
-    peer.fd = connect_with_backoff(peer.address, connect_budget);
+    peers_[r].fd = connect_with_backoff(addresses_[r], connect_budget);
     wire::Hello hello;
     hello.rank = static_cast<std::uint32_t>(r);
     hello.ranks = static_cast<std::uint32_t>(workers);
-    send_frame(peer, pwire::kFrameHello, wire::encode_hello(hello));
-    const double t_handshake = -1.0;  // no barrier yet
-    pwire::DecodedFrame frame =
-        read_frame(peer, t_handshake, pwire::kFrameHelloAck);
-    const wire::HelloAck ack = wire::decode_hello_ack(frame.payload);
+    send_frame(r, pwire::kFrameHello, wire::encode_hello(hello));
+    const wire::HelloAck ack = wire::decode_hello_ack(
+        read_frame(r, t_setup, pwire::kFrameHelloAck).payload);
     if (ack.revision != wire::kSchemaRevision)
       throw RuntimeError(
           "tcp transport schema revision mismatch: this coordinator speaks "
           "revision " +
           std::to_string(wire::kSchemaRevision) + ", worker at " +
-          peer.address.str() + " answered revision " +
+          addresses_[r].str() + " answered revision " +
           std::to_string(ack.revision) +
           " (rebuild one side so both run the same wire schema)");
     if (ack.rank != hello.rank)
-      fail_peer(peer, t_handshake,
-                "acknowledged rank " + std::to_string(ack.rank) +
-                    " instead of its assignment");
-    send_frame(peer, pwire::kFramePopulation, populations[r]);
+      fail(r, t_setup,
+           "acknowledged rank " + std::to_string(ack.rank) +
+               " instead of its assignment");
+    send_frame(r, pwire::kFramePopulation, populations[r]);
   }
-  for (Peer& peer : peers_) {
-    const double t_build = -1.0;
-    pwire::DecodedFrame frame = read_frame(peer, t_build, pwire::kFrameReady);
-    obs::wire::ByteReader r(frame.payload);
-    const std::uint32_t echoed = r.get_u32();
-    const std::size_t index = static_cast<std::size_t>(&peer - peers_.data());
-    if (echoed != index)
-      fail_peer(peer, t_build,
-                "reported ready as rank " + std::to_string(echoed));
+  for (std::size_t r = 0; r < workers; ++r) {
+    obs::wire::ByteReader ready(
+        read_frame(r, t_setup, pwire::kFrameReady).payload);
+    const std::uint32_t echoed = ready.get_u32();
+    if (echoed != r)
+      fail(r, t_setup, "reported ready as rank " + std::to_string(echoed));
   }
   broadcast_thresholds(initial_thresholds);
 }
 
-void TcpTransport::send_frame(Peer& peer, std::uint32_t kind,
-                              std::span<const std::uint8_t> payload) {
-  pwire::write_frame(peer.fd.get(), kind, payload);
-  ++peer.stats.frames_sent;
-}
-
-void TcpTransport::fail_peer(Peer& peer, double barrier_time,
-                             const std::string& what) {
-  const std::size_t index = static_cast<std::size_t>(&peer - peers_.data());
-  std::string msg = "tcp transport worker rank " + std::to_string(index) +
-                    " at " + peer.address.str() + " " + what +
-                    " before the barrier at t=" +
-                    std::to_string(barrier_time) +
-                    "; last completed barrier #" +
-                    std::to_string(peer.barriers_done) + " (t=" +
-                    std::to_string(peer.last_barrier_time) + ")";
-  if (peer.pending != 0)
-    msg += "; pending frame: " + pwire::frame_kind_name(peer.pending);
-  throw RuntimeError(msg);
-}
-
-pwire::DecodedFrame TcpTransport::read_frame(Peer& peer, double barrier_time,
-                                             std::uint32_t expected) {
-  peer.pending = expected;
-  pwire::DecodedFrame frame;
-  try {
-    frame = pwire::read_frame_deadline(peer.fd.get(), timeout_ms_);
-  } catch (const pwire::PeerError& e) {
-    if (e.kind() == pwire::PeerError::Kind::kTimeout)
-      fail_peer(peer, barrier_time,
-                "stopped responding (no payload within " +
-                    std::to_string(timeout_ms_) + " ms)");
-    fail_peer(peer, barrier_time, "closed the connection");
-  }
-  ++peer.stats.frames_received;
-  peer.stats.payload_bytes += frame.payload.size();
-  if (frame.kind == pwire::kFrameError) {
-    obs::wire::ByteReader r(frame.payload);
-    const std::uint32_t n = r.get_u32();
-    fail_peer(peer, barrier_time, "failed: " + r.get_string(n));
-  }
-  if (frame.kind != expected)
-    fail_peer(peer, barrier_time,
-              "sent " + pwire::frame_kind_name(frame.kind) + " instead of " +
-                  pwire::frame_kind_name(expected));
-  peer.pending = 0;
-  return frame;
-}
-
-std::span<const parallel::ShardBarrierView> TcpTransport::advance(
-    const parallel::BarrierRequest& request) {
-  const std::vector<std::uint8_t> payload =
-      pwire::encode_barrier_request(request);
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameAdvance, payload);
-  for (Peer& peer : peers_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    pwire::DecodedFrame frame =
-        read_frame(peer, request.limit, pwire::kFrameBarrier);
-    peer.stats.barrier_wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    peer.data = pwire::decode_barrier_payload(frame.payload);
-    ++peer.barriers_done;
-    peer.last_barrier_time = request.limit;
-  }
-  views_.clear();
-  total_q_ = 0.0;
-  total_q2_ = 0.0;
-  for (Peer& peer : peers_) {
-    for (const parallel::ShardBarrierView& v : peer.data.views())
-      views_.push_back(v);
-    if (peer.data.has_q) {
-      total_q_ += peer.data.total_q;
-      total_q2_ += peer.data.total_q2;
-    }
-  }
-  return views_;
-}
-
-void TcpTransport::broadcast_thresholds(std::span<const double> values) {
-  const std::vector<std::uint8_t> payload = pwire::encode_thresholds(values);
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameThresholds, payload);
-}
-
-void TcpTransport::finalize(bool flipped) {
-  obs::wire::ByteWriter w(1);
-  w.put_u8(flipped ? 1 : 0);
-  const std::vector<std::uint8_t> payload = w.take();
-  for (Peer& peer : peers_)
-    send_frame(peer, pwire::kFrameFinalize, payload);
-  totals_.assign(config_.n_devices, parallel::DeviceTotals{});
-  const double t_mark = -1.0;  // finalize has no barrier time
-  for (Peer& peer : peers_) {
-    pwire::DecodedFrame frame = read_frame(peer, t_mark, pwire::kFrameFinal);
-    pwire::FinalTotals fin = pwire::decode_device_totals(frame.payload);
-    if (fin.device_hi > config_.n_devices)
-      throw RuntimeError("transport final totals exceed the device range");
-    for (std::uint32_t d = fin.device_lo; d < fin.device_hi; ++d)
-      totals_[d] = fin.totals[d - fin.device_lo];
-    peer.fd.reset();  // run complete; the daemon goes back to accepting
-  }
-}
-
-parallel::DeviceTotals TcpTransport::device_totals(
-    std::uint32_t device) const {
-  MEC_EXPECTS(device < totals_.size());
-  return totals_[device];
-}
-
-parallel::RankStats TcpTransport::rank_stats(std::size_t rank) const {
-  MEC_EXPECTS(rank < peers_.size());
-  return peers_[rank].stats;
+std::string TcpTransport::describe_peer(std::size_t rank) {
+  return "at " + addresses_[rank].str();
 }
 
 }  // namespace mec::net

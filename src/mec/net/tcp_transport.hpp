@@ -1,10 +1,11 @@
 // Coordinator side of the multi-host backend: one rank per `mec worker`
 // daemon, reached over TCP.
 //
-// Same wire dialect and barrier protocol as parallel::ProcessTransport —
-// the coordinator loop cannot tell them apart — plus what a machine
-// boundary adds: connect retry with bounded exponential backoff, the
-// versioned handshake, and explicit population distribution (protocol.hpp).
+// Same wire dialect, barrier protocol and framed core as
+// parallel::ProcessTransport — the coordinator loop cannot tell them
+// apart — plus what a machine boundary adds: connect retry with bounded
+// exponential backoff, the versioned handshake, and explicit population
+// distribution (protocol.hpp).
 // Every read is bounded by the MEC_TRANSPORT_TIMEOUT_MS poll deadline, and
 // a worker that dies or stalls raises mec::RuntimeError naming the rank,
 // the peer address, the last completed barrier, and the pending frame kind
@@ -22,12 +23,11 @@
 #include <vector>
 
 #include "mec/net/address.hpp"
-#include "mec/net/socket.hpp"
 #include "mec/parallel/transport.hpp"
 
 namespace mec::net {
 
-class TcpTransport final : public parallel::Transport {
+class TcpTransport final : public parallel::FramedTransport {
  public:
   struct Config {
     /// One rank per address, rank order; duplicate-free (checked, the
@@ -48,53 +48,11 @@ class TcpTransport final : public parallel::Transport {
   TcpTransport(const Config& config,
                std::span<const std::vector<std::uint8_t>> populations,
                std::span<const double> initial_thresholds);
-  ~TcpTransport() override = default;
-  TcpTransport(const TcpTransport&) = delete;
-  TcpTransport& operator=(const TcpTransport&) = delete;
-
-  std::size_t ranks() const override { return peers_.size(); }
-  std::span<const parallel::ShardBarrierView> advance(
-      const parallel::BarrierRequest& request) override;
-  double total_q() const override { return total_q_; }
-  double total_q2() const override { return total_q2_; }
-  bool wants_thresholds() const override { return true; }
-  void broadcast_thresholds(std::span<const double> values) override;
-  void finalize(bool flipped) override;
-  parallel::DeviceTotals device_totals(std::uint32_t device) const override;
-  bool metered() const override { return true; }
-  parallel::RankStats rank_stats(std::size_t rank) const override;
 
  private:
-  struct Peer {
-    ScopedFd fd;
-    Address address;
-    std::size_t shard_lo = 0;
-    std::size_t shard_hi = 0;
-    parallel::wire::RankBarrierData data;
-    parallel::RankStats stats;
-    std::uint64_t barriers_done = 0;
-    double last_barrier_time = 0.0;
-    /// Frame kind currently awaited from this peer (0 = none); named in
-    /// the crash/stall diagnostic.
-    std::uint32_t pending = 0;
-  };
+  std::string describe_peer(std::size_t rank) override;
 
-  void send_frame(Peer& peer, std::uint32_t kind,
-                  std::span<const std::uint8_t> payload);
-  /// Deadline-bounded read that unwraps kFrameError and rejects any kind
-  /// other than `expected` via fail_peer.
-  parallel::wire::DecodedFrame read_frame(Peer& peer, double barrier_time,
-                                          std::uint32_t expected);
-  [[noreturn]] void fail_peer(Peer& peer, double barrier_time,
-                              const std::string& what);
-
-  Config config_;
-  std::vector<Peer> peers_;
-  std::vector<parallel::ShardBarrierView> views_;
-  std::vector<parallel::DeviceTotals> totals_;
-  double total_q_ = 0.0;
-  double total_q2_ = 0.0;
-  long timeout_ms_ = 300000;
+  std::vector<Address> addresses_;
 };
 
 }  // namespace mec::net

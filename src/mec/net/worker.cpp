@@ -161,11 +161,8 @@ int WorkerDaemon::serve() {
       // cause instead of a bare connection close; the daemon itself
       // survives to serve the next connection.
       try {
-        obs::wire::ByteWriter w;
-        const std::string what = e.what();
-        w.put_u32(static_cast<std::uint32_t>(what.size()));
-        w.put_bytes(what.data(), what.size());
-        pwire::write_frame(conn.get(), pwire::kFrameError, w.take());
+        pwire::write_frame(conn.get(), pwire::kFrameError,
+                           pwire::encode_error(e.what()));
       } catch (...) {
       }
     }

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mec/fault/fault_plan.hpp"
@@ -70,6 +71,14 @@ inline std::uint32_t shard_bound(std::uint32_t n, std::size_t shards,
                                  std::size_t s) noexcept {
   return static_cast<std::uint32_t>(static_cast<std::uint64_t>(n) * s /
                                     shards);
+}
+
+/// Shard slice [first, second) of rank `r` of `ranks` over `shards` shards.
+/// Slices are ascending and contiguous, so assembling rank payloads in rank
+/// order reproduces global shard order.
+inline std::pair<std::size_t, std::size_t> rank_shard_range(
+    std::size_t shards, std::size_t ranks, std::size_t r) noexcept {
+  return {shards * r / ranks, shards * (r + 1) / ranks};
 }
 
 /// One shard's mutable run state: its event queue, offload log, partial

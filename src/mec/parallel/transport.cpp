@@ -92,7 +92,7 @@ std::string frame_kind_name(std::uint32_t kind) {
       name = "barrier payload";
       break;
     case kFrameFinal:
-      name = "final device totals";
+      name = "final totals";
       break;
     case kFrameHelloAck:
       name = "hello ack";
@@ -386,9 +386,29 @@ FinalTotals decode_device_totals(std::span<const std::uint8_t> payload) {
   return out;
 }
 
+std::vector<std::uint8_t> encode_error(std::string_view what) {
+  ByteWriter w(4 + what.size());
+  w.put_u32(static_cast<std::uint32_t>(what.size()));
+  w.put_bytes(what.data(), what.size());
+  return w.take();
+}
+
+std::string decode_error(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
+  std::string what = r.get_string(r.checked_count(r.get_u32(), 1));
+  if (!r.exhausted())
+    throw RuntimeError("transport error payload has trailing bytes");
+  return what;
+}
+
 }  // namespace wire
 
 // --- fd plumbing -----------------------------------------------------------
+
+void ScopedFd::reset() noexcept {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
 
 namespace {
 
@@ -633,206 +653,202 @@ void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
   }
 }
 
-// --- coordinator side ------------------------------------------------------
+// --- framed core -----------------------------------------------------------
 
-ProcessTransport::ProcessTransport(const Config& config,
-                                   const WorkerFactory& factory)
-    : config_(config) {
-  MEC_EXPECTS(config.workers >= 1 && config.workers <= config.shard_count);
-  timeout_ms_ = resolve_transport_timeout_ms();
-  ranks_.resize(config.workers);
-  for (std::size_t r = 0; r < config.workers; ++r) {
-    ranks_[r].shard_lo = config.shard_count * r / config.workers;
-    ranks_[r].shard_hi = config.shard_count * (r + 1) / config.workers;
-  }
-  for (std::size_t r = 0; r < config.workers; ++r) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-      throw RuntimeError(std::string("transport socketpair failed: ") +
-                         std::strerror(errno));
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw RuntimeError(std::string("transport fork failed: ") +
-                         std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Child: keep only this rank's channel, build the worker in place
-      // (everything it needs arrived via copy-on-write), serve, and leave
-      // through _exit so no parent-owned atexit/stream state runs twice.
-      ::close(fds[0]);
-      for (std::size_t q = 0; q < r; ++q) ::close(ranks_[q].fd);
-      int status = 0;
-      try {
-        std::unique_ptr<RankWorker> worker =
-            factory(r, ranks_[r].shard_lo, ranks_[r].shard_hi);
-        serve_worker(*worker, r, fds[1]);
-      } catch (const std::exception& e) {
-        obs::wire::ByteWriter w;
-        const std::string what = e.what();
-        w.put_u32(static_cast<std::uint32_t>(what.size()));
-        w.put_bytes(what.data(), what.size());
-        try {
-          wire::write_frame(fds[1], wire::kFrameError, w.take());
-        } catch (...) {
-        }
-        status = 1;
-      }
-      ::_exit(status);
-    }
-    ranks_[r].fd = fds[0];
-    ranks_[r].pid = pid;
-    ::close(fds[1]);
-  }
+FramedTransport::FramedTransport(std::size_t ranks, std::uint32_t n_devices,
+                                 std::string name, std::string closed)
+    : peers_(ranks),
+      timeout_ms_(resolve_transport_timeout_ms()),
+      n_devices_(n_devices),
+      name_(std::move(name)),
+      closed_(std::move(closed)) {}
+
+void FramedTransport::send_frame(std::size_t rank, std::uint32_t kind,
+                                 std::span<const std::uint8_t> payload) {
+  wire::write_frame(peers_[rank].fd.get(), kind, payload);
+  ++peers_[rank].stats.frames_sent;
 }
 
-ProcessTransport::~ProcessTransport() {
-  for (Rank& rank : ranks_) {
-    if (rank.fd >= 0) ::close(rank.fd);
-    if (rank.pid > 0 && !rank.reaped) {
-      ::kill(static_cast<pid_t>(rank.pid), SIGKILL);
-      int status = 0;
-      ::waitpid(static_cast<pid_t>(rank.pid), &status, 0);
-    }
-  }
-}
-
-void ProcessTransport::send_frame(Rank& rank, std::uint32_t kind,
-                                  std::span<const std::uint8_t> payload) {
-  wire::write_frame(rank.fd, kind, payload);
-  ++rank.stats.frames_sent;
-}
-
-void ProcessTransport::fail_rank(Rank& rank, double barrier_time,
-                                 const std::string& what) {
-  const std::size_t index = static_cast<std::size_t>(&rank - ranks_.data());
-  std::string status = "unresponsive, killed";
-  if (rank.pid > 0 && !rank.reaped) {
-    int wstatus = 0;
-    pid_t done = ::waitpid(static_cast<pid_t>(rank.pid), &wstatus, WNOHANG);
-    if (done == 0) {
-      // Still alive (the stall case): put it down so the run fails cleanly
-      // instead of leaking a wedged child.
-      ::kill(static_cast<pid_t>(rank.pid), SIGKILL);
-      done = ::waitpid(static_cast<pid_t>(rank.pid), &wstatus, 0);
-    }
-    if (done == rank.pid) {
-      rank.reaped = true;
-      if (WIFEXITED(wstatus))
-        status = "exit status " + std::to_string(WEXITSTATUS(wstatus));
-      else if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) != SIGKILL)
-        status = "killed by signal " + std::to_string(WTERMSIG(wstatus));
-    }
-  }
-  std::string msg = "transport worker rank " + std::to_string(index) + " (" +
-                    status + ") " + what + " before the barrier at t=" +
-                    std::to_string(barrier_time) + "; last completed barrier #" +
-                    std::to_string(rank.barriers_done) + " (t=" +
-                    std::to_string(rank.last_barrier_time) + ")";
-  if (rank.pending != 0)
-    msg += "; pending frame: " + wire::frame_kind_name(rank.pending);
+void FramedTransport::fail(std::size_t rank, double barrier_time,
+                           const std::string& what) {
+  const Peer& peer = peers_[rank];
+  std::string msg = name_ + " worker rank " + std::to_string(rank) + " " +
+                    describe_peer(rank) + " " + what +
+                    " before the barrier at t=" +
+                    std::to_string(barrier_time) +
+                    "; last completed barrier #" +
+                    std::to_string(peer.barriers_done) + " (t=" +
+                    std::to_string(peer.last_barrier_time) + ")";
+  if (peer.pending != 0)
+    msg += "; pending frame: " + wire::frame_kind_name(peer.pending);
   throw RuntimeError(msg);
 }
 
-const wire::DecodedFrame& ProcessTransport::read_frame(Rank& rank,
-                                                       double barrier_time) {
-  wire::DecodedFrame& frame = rank.frame;
+const wire::DecodedFrame& FramedTransport::read_frame(std::size_t rank,
+                                                      double barrier_time,
+                                                      std::uint32_t expected) {
+  Peer& peer = peers_[rank];
+  peer.pending = expected;
   try {
-    frame = wire::read_frame_deadline(rank.fd, timeout_ms_,
-                                      std::move(frame.payload));
+    peer.frame = wire::read_frame_deadline(peer.fd.get(), timeout_ms_,
+                                           std::move(peer.frame.payload));
   } catch (const wire::PeerError& e) {
     if (e.kind() == wire::PeerError::Kind::kTimeout)
-      fail_rank(rank, barrier_time,
-                "stopped responding (no payload within " +
-                    std::to_string(timeout_ms_) + " ms)");
-    fail_rank(rank, barrier_time, "exited unexpectedly");
+      fail(rank, barrier_time,
+           "stopped responding (no payload within " +
+               std::to_string(timeout_ms_) + " ms)");
+    fail(rank, barrier_time, closed_);
   }
-  ++rank.stats.frames_received;
-  rank.stats.payload_bytes += frame.payload.size();
-  if (frame.kind == wire::kFrameError) {
-    obs::wire::ByteReader r(frame.payload);
-    const std::uint32_t n = r.get_u32();
-    fail_rank(rank, barrier_time, "failed: " + r.get_string(n));
-  }
-  return frame;
+  ++peer.stats.frames_received;
+  peer.stats.payload_bytes += peer.frame.payload.size();
+  if (peer.frame.kind == wire::kFrameError)
+    fail(rank, barrier_time,
+         "failed: " + wire::decode_error(peer.frame.payload));
+  if (peer.frame.kind != expected)
+    fail(rank, barrier_time,
+         "sent " + wire::frame_kind_name(peer.frame.kind) + " instead of " +
+             wire::frame_kind_name(expected));
+  peer.pending = 0;
+  return peer.frame;
 }
 
-std::span<const ShardBarrierView> ProcessTransport::advance(
+std::span<const ShardBarrierView> FramedTransport::advance(
     const BarrierRequest& request) {
   const std::vector<std::uint8_t> payload =
       wire::encode_barrier_request(request);
-  for (Rank& rank : ranks_)
-    send_frame(rank, wire::kFrameAdvance, payload);
-  for (Rank& rank : ranks_) {
-    rank.pending = wire::kFrameBarrier;
-    const auto t0 = std::chrono::steady_clock::now();
-    const wire::DecodedFrame& frame = read_frame(rank, request.limit);
-    rank.stats.barrier_wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (frame.kind != wire::kFrameBarrier)
-      fail_rank(rank, request.limit,
-                "sent an unexpected frame kind " + std::to_string(frame.kind));
-    rank.data =
-        wire::decode_barrier_payload(frame.payload, std::move(rank.data));
-    rank.pending = 0;
-    ++rank.barriers_done;
-    rank.last_barrier_time = request.limit;
-  }
+  for (std::size_t r = 0; r < peers_.size(); ++r)
+    send_frame(r, wire::kFrameAdvance, payload);
   views_.clear();
   total_q_ = 0.0;
   total_q2_ = 0.0;
-  for (Rank& rank : ranks_) {
-    for (const ShardBarrierView& v : rank.data.views()) views_.push_back(v);
-    if (rank.data.has_q) {
-      total_q_ += rank.data.total_q;
-      total_q2_ += rank.data.total_q2;
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
+    Peer& peer = peers_[r];
+    const auto t0 = std::chrono::steady_clock::now();
+    const wire::DecodedFrame& frame =
+        read_frame(r, request.limit, wire::kFrameBarrier);
+    peer.stats.barrier_wait_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    peer.data =
+        wire::decode_barrier_payload(frame.payload, std::move(peer.data));
+    ++peer.barriers_done;
+    peer.last_barrier_time = request.limit;
+    for (const ShardBarrierView& v : peer.data.views()) views_.push_back(v);
+    if (peer.data.has_q) {
+      total_q_ += peer.data.total_q;
+      total_q2_ += peer.data.total_q2;
     }
   }
   return views_;
 }
 
-void ProcessTransport::broadcast_thresholds(std::span<const double> values) {
+void FramedTransport::broadcast_thresholds(std::span<const double> values) {
   const std::vector<std::uint8_t> payload = wire::encode_thresholds(values);
-  for (Rank& rank : ranks_) send_frame(rank, wire::kFrameThresholds, payload);
+  for (std::size_t r = 0; r < peers_.size(); ++r)
+    send_frame(r, wire::kFrameThresholds, payload);
 }
 
-void ProcessTransport::finalize(bool flipped) {
-  obs::wire::ByteWriter w(1);
-  w.put_u8(flipped ? 1 : 0);
-  const std::vector<std::uint8_t> payload = w.take();
-  for (Rank& rank : ranks_) send_frame(rank, wire::kFrameFinalize, payload);
-  totals_.assign(config_.n_devices, DeviceTotals{});
+void FramedTransport::finalize(bool flipped) {
+  const std::uint8_t payload[1] = {static_cast<std::uint8_t>(flipped ? 1 : 0)};
+  for (std::size_t r = 0; r < peers_.size(); ++r)
+    send_frame(r, wire::kFrameFinalize, payload);
+  totals_.assign(n_devices_, DeviceTotals{});
   const double t_mark = -1.0;  // finalize has no barrier time
-  for (Rank& rank : ranks_) {
-    rank.pending = wire::kFrameFinal;
-    const wire::DecodedFrame& frame = read_frame(rank, t_mark);
-    if (frame.kind != wire::kFrameFinal)
-      fail_rank(rank, t_mark,
-                "sent an unexpected frame kind " + std::to_string(frame.kind));
-    rank.pending = 0;
-    wire::FinalTotals fin = wire::decode_device_totals(frame.payload);
-    if (fin.device_hi > config_.n_devices)
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
+    const wire::FinalTotals fin = wire::decode_device_totals(
+        read_frame(r, t_mark, wire::kFrameFinal).payload);
+    if (fin.device_hi > n_devices_)
       throw RuntimeError("transport final totals exceed the device range");
     for (std::uint32_t d = fin.device_lo; d < fin.device_hi; ++d)
       totals_[d] = fin.totals[d - fin.device_lo];
-    int status = 0;
-    ::waitpid(static_cast<pid_t>(rank.pid), &status, 0);
-    rank.reaped = true;
-    ::close(rank.fd);
-    rank.fd = -1;
+    peers_[r].fd.reset();  // run complete
+    on_final(r);
   }
 }
 
-DeviceTotals ProcessTransport::device_totals(std::uint32_t device) const {
+DeviceTotals FramedTransport::device_totals(std::uint32_t device) const {
   MEC_EXPECTS(device < totals_.size());
   return totals_[device];
 }
 
-RankStats ProcessTransport::rank_stats(std::size_t rank) const {
-  MEC_EXPECTS(rank < ranks_.size());
-  return ranks_[rank].stats;
+RankStats FramedTransport::rank_stats(std::size_t rank) const {
+  MEC_EXPECTS(rank < peers_.size());
+  return peers_[rank].stats;
+}
+
+// --- process backend ---------------------------------------------------------
+
+std::optional<int> ChildProcess::reap(bool kill) noexcept {
+  if (pid_ <= 0) return std::nullopt;
+  int status = 0;
+  // Under `kill`, a child that already exited keeps its own status.
+  pid_t done = kill ? ::waitpid(pid_, &status, WNOHANG) : 0;
+  if (done == 0) {
+    if (kill) ::kill(pid_, SIGKILL);
+    done = ::waitpid(pid_, &status, 0);
+  }
+  const bool reaped = done == pid_;
+  pid_ = -1;
+  return reaped ? std::optional<int>(status) : std::nullopt;
+}
+
+ProcessTransport::ProcessTransport(const Config& config,
+                                   const WorkerFactory& factory)
+    : FramedTransport(config.workers, config.n_devices, "transport",
+                      "exited unexpectedly") {
+  MEC_EXPECTS(config.workers >= 1 && config.workers <= config.shard_count);
+  children_.reserve(config.workers);
+  for (std::size_t r = 0; r < config.workers; ++r) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+      throw RuntimeError(std::string("transport socketpair failed: ") +
+                         std::strerror(errno));
+    ScopedFd ours(fds[0]);
+    const ScopedFd theirs(fds[1]);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+      throw RuntimeError(std::string("transport fork failed: ") +
+                         std::strerror(errno));
+    if (pid == 0) {
+      // Child: keep only this rank's channel, build the worker in place
+      // (everything it needs arrived via copy-on-write), serve, and leave
+      // through _exit so no parent-owned state — atexit handlers, stream
+      // sinks, the handles on this rank's siblings — is torn down twice.
+      ours.reset();
+      for (std::size_t q = 0; q < r; ++q) peers_[q].fd.reset();
+      int status = 1;
+      try {
+        const auto [shard_lo, shard_hi] =
+            rank_shard_range(config.shard_count, config.workers, r);
+        std::unique_ptr<RankWorker> worker = factory(r, shard_lo, shard_hi);
+        serve_worker(*worker, r, theirs.get());
+        status = 0;
+      } catch (const std::exception& e) {
+        try {
+          wire::write_frame(theirs.get(), wire::kFrameError,
+                            wire::encode_error(e.what()));
+        } catch (...) {
+        }
+      } catch (...) {
+      }
+      ::_exit(status);
+    }
+    children_.emplace_back(pid);
+    peers_[r].fd = std::move(ours);
+  }
+}
+
+std::string ProcessTransport::describe_peer(std::size_t rank) {
+  const std::optional<int> status = children_[rank].reap(/*kill=*/true);
+  if (status && WIFEXITED(*status))
+    return "(exit status " + std::to_string(WEXITSTATUS(*status)) + ")";
+  if (status && WIFSIGNALED(*status) && WTERMSIG(*status) != SIGKILL)
+    return "(killed by signal " + std::to_string(WTERMSIG(*status)) + ")";
+  return "(unresponsive, killed)";
+}
+
+void ProcessTransport::on_final(std::size_t rank) {
+  children_[rank].reap(/*kill=*/false);
 }
 
 }  // namespace mec::parallel

@@ -16,6 +16,11 @@
 //                       length-prefixed CRC32 frames in the .meclog wire
 //                       dialect (obs/wire.hpp + obs::crc32).
 //
+// ProcessTransport and net::TcpTransport are both FramedTransports: one
+// coordinator-side core owns the per-rank fds, the barrier exchange and the
+// failure diagnostics, and a backend adds only how its ranks are set up and
+// how a dead rank is described.
+//
 // Determinism contract (docs/ARCHITECTURE.md #8): everything in a barrier
 // payload is either an order-invariant merge (integer counters, latency
 // sketches, integer-valued queue sums) or is replayed serially in global
@@ -30,10 +35,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "mec/sim/coupling.hpp"
 #include "mec/stats/latency_sketch.hpp"
@@ -153,16 +163,15 @@ class Transport {
   virtual double total_q() const = 0;
   virtual double total_q2() const = 0;
 
-  /// Whether epoch-mutated thresholds must be pushed to the ranks (process
-  /// workers decide on mirrored copies; the in-process rank does not).
-  virtual bool wants_thresholds() const = 0;
+  /// True when the ranks sit behind a wire: they decide on mirrored
+  /// thresholds, so epoch-mutated values must be pushed with
+  /// broadcast_thresholds, and rank_stats has wire diagnostics worth
+  /// streaming.  The in-process rank reads the live policy and has no wire.
+  virtual bool framed() const = 0;
   virtual void broadcast_thresholds(std::span<const double> values) = 0;
 
   virtual void finalize(bool flipped) = 0;
   virtual DeviceTotals device_totals(std::uint32_t device) const = 0;
-
-  /// True when the transport has wire diagnostics worth streaming.
-  virtual bool metered() const = 0;
   virtual RankStats rank_stats(std::size_t rank) const = 0;
 };
 
@@ -181,13 +190,12 @@ class InProcessTransport final : public Transport {
   }
   double total_q() const override { return worker_->total_q(); }
   double total_q2() const override { return worker_->total_q2(); }
-  bool wants_thresholds() const override { return false; }
+  bool framed() const override { return false; }
   void broadcast_thresholds(std::span<const double>) override {}
   void finalize(bool flipped) override { worker_->finalize(flipped); }
   DeviceTotals device_totals(std::uint32_t device) const override {
     return worker_->device_totals(device);
   }
-  bool metered() const override { return false; }
   RankStats rank_stats(std::size_t) const override { return {}; }
 
  private:
@@ -307,6 +315,12 @@ struct FinalTotals {
 };
 FinalTotals decode_device_totals(std::span<const std::uint8_t> payload);
 
+/// kFrameError payload: u32 length | the failure text.
+std::vector<std::uint8_t> encode_error(std::string_view what);
+/// Throws mec::RuntimeError on a length the payload cannot hold (checked
+/// before the string is built) or on trailing bytes.
+std::string decode_error(std::span<const std::uint8_t> payload);
+
 // --- deadline-bounded fd framing (shared by process + tcp backends) --------
 
 /// Peer-liveness failure on a framed channel: the fd hit EOF at a frame
@@ -344,6 +358,32 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms,
 
 }  // namespace wire
 
+/// Move-only owning file descriptor.
+class ScopedFd {
+ public:
+  ScopedFd() = default;
+  explicit ScopedFd(int fd) noexcept : fd_(fd) {}
+  ~ScopedFd() { reset(); }
+  ScopedFd(ScopedFd&& other) noexcept : fd_(other.release()) {}
+  ScopedFd& operator=(ScopedFd&& other) noexcept {
+    if (this != &other) {
+      reset();
+      fd_ = other.release();
+    }
+    return *this;
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const noexcept { return fd_; }
+  bool valid() const noexcept { return fd_ >= 0; }
+  int release() noexcept { return std::exchange(fd_, -1); }
+  void reset() noexcept;
+
+ private:
+  int fd_ = -1;
+};
+
 /// Upper bound accepted for MEC_TRANSPORT_TIMEOUT_MS (24 h, in ms).
 inline constexpr long kMaxTransportTimeoutMs = 86'400'000;
 
@@ -353,6 +393,82 @@ inline constexpr long kMaxTransportTimeoutMs = 86'400'000;
 /// [1, 86400000] instead of silently falling back (same contract as
 /// MEC_SHARDS in resolve_shard_count).
 long resolve_transport_timeout_ms(long fallback_ms = 300000);
+
+// --- framed core (coordinator side of every fd backend) -------------------
+
+/// Coordinator side of a rank fleet reached over connected fds, one per
+/// rank: the barrier exchange, the deadline-bounded reads and the failure
+/// diagnostic, shared by every backend.  A backend connects the fds in its
+/// constructor (fork + socketpair, TCP connect + handshake) and supplies the
+/// dead-peer hook; everything after setup runs here.
+///
+/// A rank that dies, stalls (no frame within MEC_TRANSPORT_TIMEOUT_MS),
+/// sends an error frame or answers with the wrong frame kind fails the run
+/// with a mec::RuntimeError naming the rank, the backend's description of
+/// it, the barrier, its last completed barrier and the frame still awaited.
+class FramedTransport : public Transport {
+ public:
+  FramedTransport(const FramedTransport&) = delete;
+  FramedTransport& operator=(const FramedTransport&) = delete;
+
+  std::size_t ranks() const override { return peers_.size(); }
+  std::span<const ShardBarrierView> advance(
+      const BarrierRequest& request) override;
+  double total_q() const override { return total_q_; }
+  double total_q2() const override { return total_q2_; }
+  bool framed() const override { return true; }
+  void broadcast_thresholds(std::span<const double> values) override;
+  void finalize(bool flipped) override;
+  DeviceTotals device_totals(std::uint32_t device) const override;
+  RankStats rank_stats(std::size_t rank) const override;
+
+ protected:
+  /// `ranks` peers with no fd yet; `n_devices` sizes the final totals.
+  /// Failure messages open with "<name> worker rank <r>", and `closed` is
+  /// how they word a peer whose channel hit EOF.
+  FramedTransport(std::size_t ranks, std::uint32_t n_devices,
+                  std::string name, std::string closed);
+
+  struct Peer {
+    ScopedFd fd;
+    wire::DecodedFrame frame;    ///< last frame read; buffer reused
+    wire::RankBarrierData data;  ///< last barrier decoded; capacity reused
+    RankStats stats;
+    std::uint64_t barriers_done = 0;
+    double last_barrier_time = 0.0;
+    /// Frame kind awaited from this peer (0 = none); the failure message
+    /// names it, so a death during finalize reads apart from a mid-leg one.
+    std::uint32_t pending = 0;
+  };
+
+  void send_frame(std::size_t rank, std::uint32_t kind,
+                  std::span<const std::uint8_t> payload);
+  /// Deadline-bounded read of the next frame from `rank`, which must be of
+  /// kind `expected`; an error frame, EOF, timeout or another kind fails
+  /// the run via fail().  The frame stays valid until the next read.
+  const wire::DecodedFrame& read_frame(std::size_t rank, double barrier_time,
+                                       std::uint32_t expected);
+  [[noreturn]] void fail(std::size_t rank, double barrier_time,
+                         const std::string& what);
+
+  /// Dead-peer hook, run once as a failure message is built: how the
+  /// message names `rank` after "worker rank <r>".
+  virtual std::string describe_peer(std::size_t rank) = 0;
+  /// Runs once `rank`'s final totals are in and its fd is closed.
+  virtual void on_final(std::size_t /*rank*/) {}
+
+  std::vector<Peer> peers_;
+  long timeout_ms_;  ///< per-read deadline (MEC_TRANSPORT_TIMEOUT_MS)
+
+ private:
+  std::uint32_t n_devices_;
+  std::string name_;
+  std::string closed_;
+  std::vector<ShardBarrierView> views_;
+  std::vector<DeviceTotals> totals_;
+  double total_q_ = 0.0;
+  double total_q2_ = 0.0;
+};
 
 // --- process backend -------------------------------------------------------
 
@@ -368,14 +484,32 @@ using WorkerFactory = std::function<std::unique_ptr<RankWorker>(
 /// mec::RuntimeError on a wire error.
 void serve_worker(RankWorker& worker, std::size_t rank, int fd);
 
+/// Owns one forked child: unless already reaped, the destructor SIGKILLs
+/// and reaps it, so no exit path leaves a child behind.
+class ChildProcess {
+ public:
+  explicit ChildProcess(pid_t pid) noexcept : pid_(pid) {}
+  ~ChildProcess() { reap(/*kill=*/true); }
+  ChildProcess(ChildProcess&& other) noexcept
+      : pid_(std::exchange(other.pid_, -1)) {}
+  ChildProcess& operator=(ChildProcess&&) = delete;
+  ChildProcess(const ChildProcess&) = delete;
+  ChildProcess& operator=(const ChildProcess&) = delete;
+
+  /// Waits for the child and returns its wait status; under `kill` a
+  /// child that has not exited yet is SIGKILLed first.  nullopt once the
+  /// child was reaped or when waitpid fails.
+  std::optional<int> reap(bool kill) noexcept;
+
+ private:
+  pid_t pid_;
+};
+
 /// Coordinator side of the multi-process backend: forks one worker process
-/// per rank over a socketpair, assigns rank r the shard slice
-/// [K*r/W, K*(r+1)/W) (ascending and contiguous, preserving the global
-/// merge order), and detects a worker that dies or stalls mid-run — every
-/// payload read is bounded by MEC_TRANSPORT_TIMEOUT_MS (default 300000) and
-/// failure raises mec::RuntimeError naming the rank and its last completed
-/// barrier instead of hanging.
-class ProcessTransport final : public Transport {
+/// per rank over a socketpair and assigns rank r the shard slice
+/// rank_shard_range(K, W, r).  A failure message names the rank's wait
+/// status ("exit status 17"); a stalled rank is SIGKILLed and reaped.
+class ProcessTransport final : public FramedTransport {
  public:
   struct Config {
     std::size_t shard_count = 1;
@@ -383,55 +517,16 @@ class ProcessTransport final : public Transport {
     std::uint32_t n_devices = 0;
   };
 
-  /// Forks the workers; `factory` runs only in the children.
+  /// Forks the workers; `factory` runs only in the children.  Throws
+  /// mec::RuntimeError when a socketpair or fork fails, after killing and
+  /// reaping the ranks already forked.
   ProcessTransport(const Config& config, const WorkerFactory& factory);
-  ~ProcessTransport() override;
-  ProcessTransport(const ProcessTransport&) = delete;
-  ProcessTransport& operator=(const ProcessTransport&) = delete;
-
-  std::size_t ranks() const override { return ranks_.size(); }
-  std::span<const ShardBarrierView> advance(
-      const BarrierRequest& request) override;
-  double total_q() const override { return total_q_; }
-  double total_q2() const override { return total_q2_; }
-  bool wants_thresholds() const override { return true; }
-  void broadcast_thresholds(std::span<const double> values) override;
-  void finalize(bool flipped) override;
-  DeviceTotals device_totals(std::uint32_t device) const override;
-  bool metered() const override { return true; }
-  RankStats rank_stats(std::size_t rank) const override;
 
  private:
-  struct Rank {
-    int fd = -1;
-    long pid = -1;
-    std::size_t shard_lo = 0;
-    std::size_t shard_hi = 0;
-    wire::DecodedFrame frame;     ///< last frame read; buffer reused
-    wire::RankBarrierData data;   ///< last barrier decoded; capacity reused
-    RankStats stats;
-    std::uint64_t barriers_done = 0;
-    double last_barrier_time = 0.0;
-    /// Frame kind the coordinator is currently waiting on (0 = none); a
-    /// crash diagnostic names it so a death during the finalize exchange is
-    /// distinguishable from a mid-leg one.
-    std::uint32_t pending = 0;
-    bool reaped = false;
-  };
+  std::string describe_peer(std::size_t rank) override;
+  void on_final(std::size_t rank) override;
 
-  void send_frame(Rank& rank, std::uint32_t kind,
-                  std::span<const std::uint8_t> payload);
-  const wire::DecodedFrame& read_frame(Rank& rank, double barrier_time);
-  [[noreturn]] void fail_rank(Rank& rank, double barrier_time,
-                              const std::string& what);
-
-  Config config_;
-  std::vector<Rank> ranks_;
-  std::vector<ShardBarrierView> views_;
-  std::vector<DeviceTotals> totals_;
-  double total_q_ = 0.0;
-  double total_q2_ = 0.0;
-  long timeout_ms_ = 300000;
+  std::vector<ChildProcess> children_;
 };
 
 }  // namespace mec::parallel

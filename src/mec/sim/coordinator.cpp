@@ -295,7 +295,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
             add(obs::Counter::kReplaySeconds, obs::kGlobalShard,
                 replay_seconds);
           replay_seconds = 0.0;
-          if (transport.metered()) {
+          if (transport.framed()) {
             for (std::size_t r = 0; r < transport.ranks(); ++r) {
               const parallel::RankStats rs = transport.rank_stats(r);
               const auto rid = static_cast<std::uint16_t>(r);
@@ -327,7 +327,7 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
       // mirrored policy copies get the post-epoch values before their next
       // leg.  Shards always see a frozen policy between barriers either
       // way, so the mirror is exactly as fresh as the live pointers.
-      if (transport.wants_thresholds() &&
+      if (transport.framed() &&
           (options.on_epoch || options.on_cluster_epoch)) {
         thresh_scratch.resize(cc.n_devices);
         for (std::uint32_t d = 0; d < cc.n_devices; ++d)

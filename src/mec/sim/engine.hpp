@@ -91,6 +91,29 @@ inline parallel::ThreadPool* workspace_pool(SimWorkspace::Impl& ws,
   return ws.pool.get();
 }
 
+/// The per-device TRO thresholds that ranks behind `transport` decide on
+/// (as mirrored copies, refreshed by the post-epoch broadcast).  Checked
+/// before any rank is set up: a device without one throws, naming the
+/// `boundary` its virtual policy cannot cross.
+template <class Decide>
+std::vector<double> mirror_thresholds(const Decide& decide,
+                                      std::uint32_t n_devices,
+                                      const char* transport,
+                                      const char* boundary) {
+  std::vector<double> mirror(n_devices);
+  for (std::uint32_t d = 0; d < n_devices; ++d) {
+    mirror[d] = decide.threshold_value(d);
+    if (mirror[d] < 0.0)
+      throw RuntimeError(
+          std::string("transport=") + transport +
+          " requires per-device TRO thresholds, but the policy for device " +
+          std::to_string(d) +
+          " has none (virtual non-TRO policies cannot cross a " + boundary +
+          " boundary)");
+  }
+  return mirror;
+}
+
 /// One full simulation run: workspace/shard setup, transport selection, and
 /// the coordinator's barrier-stepped loop.
 template <bool WithFaults, class Decide>
@@ -162,20 +185,8 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
   cc.shard_count = shard_count;
 
   if (options.transport == TransportKind::kProcess) {
-    // Worker processes decide over a mirrored threshold vector, refreshed
-    // by the post-epoch broadcast, so the decision provider must expose a
-    // per-device TRO threshold.  Checked before forking anything.
-    std::vector<double> mirror(n_devices);
-    for (std::uint32_t d = 0; d < n_devices; ++d) {
-      mirror[d] = decide.threshold_value(d);
-      if (mirror[d] < 0.0)
-        throw RuntimeError(
-            "transport=process requires per-device TRO thresholds, but the "
-            "policy for device " +
-            std::to_string(d) +
-            " has none (virtual non-TRO policies cannot cross a process "
-            "boundary)");
-    }
+    std::vector<double> mirror =
+        mirror_thresholds(decide, n_devices, "process", "process");
     // The pool must not cross fork() (its worker threads would not exist in
     // the children); each rank builds its own pool for its slice, and the
     // coordinator's replay pool is rebuilt once the ranks are forked.
@@ -208,20 +219,8 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
   }
 
   if (options.transport == TransportKind::kTcp) {
-    // Same contract as transport=process: remote ranks decide over a
-    // mirrored threshold vector, so the provider must expose per-device
-    // TRO thresholds.  Checked before connecting anywhere.
-    std::vector<double> mirror(n_devices);
-    for (std::uint32_t d = 0; d < n_devices; ++d) {
-      mirror[d] = decide.threshold_value(d);
-      if (mirror[d] < 0.0)
-        throw RuntimeError(
-            "transport=tcp requires per-device TRO thresholds, but the "
-            "policy for device " +
-            std::to_string(d) +
-            " has none (virtual non-TRO policies cannot cross a machine "
-            "boundary)");
-    }
+    const std::vector<double> mirror =
+        mirror_thresholds(decide, n_devices, "tcp", "machine");
     std::vector<net::Address> workers;
     workers.reserve(options.worker_addresses.size());
     for (const std::string& spec : options.worker_addresses)
@@ -262,8 +261,10 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
     for (std::size_t r = 0; r < ranks; ++r) {
       net::wire::WorkerPopulation pop = base;
       pop.rank = static_cast<std::uint32_t>(r);
-      pop.shard_lo = static_cast<std::uint32_t>(shard_count * r / ranks);
-      pop.shard_hi = static_cast<std::uint32_t>(shard_count * (r + 1) / ranks);
+      const auto [shard_lo, shard_hi] =
+          parallel::rank_shard_range(shard_count, ranks, r);
+      pop.shard_lo = static_cast<std::uint32_t>(shard_lo);
+      pop.shard_hi = static_cast<std::uint32_t>(shard_hi);
       pop.device_lo =
           parallel::shard_bound(n_devices, shard_count, pop.shard_lo);
       pop.device_hi =

@@ -12,10 +12,18 @@
 //
 // The second half exercises the failure modes: a worker that dies mid-run
 // or stops responding must fail the run with a diagnostic naming the rank
-// and its last completed barrier — never hang — and policies that cannot be
-// mirrored into a worker process are rejected up front.
+// and its last completed barrier — never hang — a rank setup that fails
+// partway leaves no forked rank behind, the framed core names a peer's
+// wrong or error frame, and policies that cannot be mirrored into a worker
+// process are rejected up front.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -429,6 +438,116 @@ TEST(ProcessTransportRobustness, WorkerStallFailsInsteadOfHanging) {
     EXPECT_NE(what.find("last completed barrier #1"), std::string::npos)
         << what;
   }
+}
+
+TEST(ProcessTransportRobustness, FailedRankSetupReapsTheRanksAlreadyForked) {
+  // Runs in a forked child so the lowered fd limit stays out of the rest of
+  // the suite; the child reports through its exit code.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Leave room for exactly two more fds: rank 0's socketpair takes both,
+    // the coordinator then closes the child's end, and rank 1's socketpair
+    // finds one free fd where it needs two.
+    const int a = ::open("/dev/null", O_RDONLY);
+    const int b = ::open("/dev/null", O_RDONLY);
+    ::close(a);
+    ::close(b);
+    rlimit limit{};
+    ::getrlimit(RLIMIT_NOFILE, &limit);
+    limit.rlim_cur = static_cast<rlim_t>(b) + 1;
+    if (a < 0 || b < 0 || ::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    parallel::ProcessTransport::Config cfg;
+    cfg.shard_count = 2;
+    cfg.workers = 2;
+    cfg.n_devices = 2;
+    int code = 3;
+    try {
+      parallel::ProcessTransport transport(
+          cfg, [](std::size_t, std::size_t, std::size_t)
+                   -> std::unique_ptr<parallel::RankWorker> {
+            throw RuntimeError("this rank is never served");
+          });
+    } catch (const RuntimeError&) {
+      int status = 0;
+      code = ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD ? 0 : 4;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "2: lowering the fd limit failed; 3: the constructor did not throw; "
+         "4: rank 0's process was left unreaped";
+}
+
+/// A FramedTransport whose one rank is the far end of a plain socketpair,
+/// played by the test itself: no fork, no daemon.
+class ScriptedPeerTransport final : public parallel::FramedTransport {
+ public:
+  explicit ScriptedPeerTransport(parallel::ScopedFd fd)
+      : FramedTransport(1, 0, "scripted transport", "hung up") {
+    peers_[0].fd = std::move(fd);
+  }
+
+ private:
+  std::string describe_peer(std::size_t) override { return "(scripted)"; }
+};
+
+/// Queues `replies` on the peer end (small frames fit the socket buffer, so
+/// they can go out before the advances that read them), then advances to
+/// t = 2, 4, ... until the transport throws; returns the message.
+std::string scripted_failure(
+    const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>&
+        replies) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return "no socketpair";
+  const parallel::ScopedFd peer(fds[1]);
+  ScriptedPeerTransport transport{parallel::ScopedFd(fds[0])};
+  for (const auto& [kind, payload] : replies)
+    parallel::wire::write_frame(peer.get(), kind, payload);
+  parallel::BarrierRequest req;
+  try {
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      req.limit += 2.0;
+      transport.advance(req);
+    }
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "no failure";
+}
+
+TEST(FramedTransport, WrongFrameKindNamesBothKindsTheRankAndTheBarrier) {
+  namespace pw = parallel::wire;
+  const std::string what = scripted_failure(
+      {{pw::kFrameBarrier, pw::encode_barrier_payload({}, false, 0.0, 0.0)},
+       {pw::kFrameFinal, pw::encode_device_totals(0, 0, {})}});
+  EXPECT_NE(what.find("scripted transport worker rank 0 (scripted)"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("sent final totals (kind 0x21) instead of barrier "
+                      "payload (kind 0x20)"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("before the barrier at t=4"), std::string::npos) << what;
+  EXPECT_NE(what.find("last completed barrier #1 (t=2"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("pending frame: barrier payload (kind 0x20)"),
+            std::string::npos)
+      << what;
+}
+
+TEST(FramedTransport, ErrorFrameTextReachesTheDiagnostic) {
+  namespace pw = parallel::wire;
+  const std::string what = scripted_failure(
+      {{pw::kFrameError, pw::encode_error("shard 3 ran out of memory")}});
+  EXPECT_NE(what.find("rank 0 (scripted) failed: shard 3 ran out of memory"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("last completed barrier #0"), std::string::npos)
+      << what;
 }
 
 TEST(ProcessTransportRobustness, RejectsPoliciesWithoutTroThresholds) {

@@ -340,6 +340,28 @@ TEST(TransportWire, ThresholdsRejectACountThePayloadCannotHold) {
   expect_count_rejected([&] { wire::decode_thresholds(hostile); });
 }
 
+// --- error frame -----------------------------------------------------------
+
+TEST(TransportWire, ErrorPayloadMatchesTheGoldenBytesAndRoundTrips) {
+  const std::vector<std::uint8_t> golden =
+      bytes({0x04, 0x00, 0x00, 0x00, 'o', 'o', 'p', 's'});
+  EXPECT_EQ(wire::encode_error("oops"), golden);
+  EXPECT_EQ(wire::decode_error(golden), "oops");
+  EXPECT_EQ(wire::decode_error(wire::encode_error("")), "");
+  std::vector<std::uint8_t> trailing = golden;
+  trailing.push_back(0);
+  EXPECT_NE(thrown_message([&] { wire::decode_error(trailing); })
+                .find("trailing bytes"),
+            std::string::npos);
+}
+
+TEST(TransportWire, ErrorPayloadRejectsALengthThePayloadCannotHold) {
+  // 8 bytes claiming a 4 GiB text: refused before the string exists.
+  const std::vector<std::uint8_t> hostile =
+      bytes({0xFF, 0xFF, 0xFF, 0xFF, 'o', 'o', 'p', 's'});
+  expect_count_rejected([&] { wire::decode_error(hostile); });
+}
+
 // --- device totals ---------------------------------------------------------
 
 TEST(TransportWire, DeviceTotalsMatchTheGoldenBytes) {
