@@ -5,7 +5,6 @@
 #include "mec/common/error.hpp"
 #include "mec/net/protocol.hpp"
 #include "mec/net/socket.hpp"
-#include "mec/obs/wire.hpp"
 
 namespace mec::net {
 
@@ -26,16 +25,15 @@ TcpTransport::TcpTransport(
   const long connect_budget =
       config.connect_timeout_ms > 0 ? config.connect_timeout_ms : timeout_ms_;
 
-  // Connect + handshake + population, rank by rank; then one ready-barrier
-  // pass so every worker builds its slice before the run starts.
+  // Connect + handshake, rank by rank; then the shared start-up ships the
+  // populations and waits until every rank has built its slice.
   const double t_setup = -1.0;  // no barrier yet
-  const std::size_t workers = addresses_.size();
-  for (std::size_t r = 0; r < workers; ++r) {
+  for (std::size_t r = 0; r < addresses_.size(); ++r) {
     peers_[r].fd = connect_with_backoff(addresses_[r], connect_budget);
     wire::Hello hello;
     hello.rank = static_cast<std::uint32_t>(r);
-    hello.ranks = static_cast<std::uint32_t>(workers);
-    send_frame(r, pwire::kFrameHello, wire::encode_hello(hello));
+    hello.ranks = static_cast<std::uint32_t>(addresses_.size());
+    send_frame(r, t_setup, pwire::kFrameHello, wire::encode_hello(hello));
     const wire::HelloAck ack = wire::decode_hello_ack(
         read_frame(r, t_setup, pwire::kFrameHelloAck).payload);
     if (ack.revision != wire::kSchemaRevision)
@@ -50,16 +48,8 @@ TcpTransport::TcpTransport(
       fail(r, t_setup,
            "acknowledged rank " + std::to_string(ack.rank) +
                " instead of its assignment");
-    send_frame(r, pwire::kFramePopulation, populations[r]);
   }
-  for (std::size_t r = 0; r < workers; ++r) {
-    obs::wire::ByteReader ready(
-        read_frame(r, t_setup, pwire::kFrameReady).payload);
-    const std::uint32_t echoed = ready.get_u32();
-    if (echoed != r)
-      fail(r, t_setup, "reported ready as rank " + std::to_string(echoed));
-  }
-  broadcast_thresholds(initial_thresholds);
+  start(populations, initial_thresholds);
 }
 
 std::string TcpTransport::describe_peer(std::size_t rank) {

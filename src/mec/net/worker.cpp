@@ -2,10 +2,12 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mec/common/error.hpp"
@@ -26,18 +28,17 @@ namespace {
 // Arrays are full-size with only the owned slice populated: LegRunner tags
 // barrier views with *global* shard ids and LegContext pointers are indexed
 // by global device id, so a compacted layout would corrupt the merge order.
-// The slice's streams are derived from (seed, device_lo) exactly as the
-// coordinator split them (its pre-init ws.rng_init); re-running init_shard
-// here reproduces the coordinator's initial-arrival draws bit for bit,
-// which is what keeps the streamed .meclog bytes identical to inproc for
-// any worker placement.
+// The slice's streams are derived from (seed, device_lo) exactly as an
+// in-process run splits them; re-running init_shard here reproduces its
+// initial-arrival draws bit for bit, which is what keeps the streamed
+// .meclog bytes identical to inproc for any rank placement.
 template <bool WithFaults>
-void serve_rank(int fd, const wire::WorkerPopulation& pop) {
+void serve_slice(int fd, wire::WorkerPopulation pop) {
+  std::vector<core::UserParams> users(pop.n_devices);
+  std::copy(pop.users.begin(), pop.users.end(), users.begin() + pop.device_lo);
+  pop.users = {};  // in place now; freed before the rank's arrays are built
   sim::SimWorkspace::Impl ws;
   ws.prepare(pop.n_devices);
-  std::vector<core::UserParams> users(pop.n_devices);
-  for (std::size_t i = 0; i < pop.users.size(); ++i)
-    users[pop.device_lo + i] = pop.users[i];
   const std::size_t slice = pop.device_hi - pop.device_lo;
   random::split_streams(pop.seed, pop.device_lo,
                         std::span(ws.rngs).subspan(pop.device_lo, slice));
@@ -54,8 +55,8 @@ void serve_rank(int fd, const wire::WorkerPopulation& pop) {
                                         pop.actions);
   }
 
-  const sim::ServiceSampler service = sim::make_service_sampler(pop.service);
-  const sim::LatencySampler latency = sim::make_latency_sampler(pop.latency);
+  const sim::Sampler service(pop.service, sim::Sampler::Role::kService);
+  const sim::Sampler latency(pop.latency, sim::Sampler::Role::kLatency);
   std::vector<double> mirror(pop.n_devices, 0.0);
   const sim::engine::LegContext<sim::TroValueDecide> lc{
       users.data(),  ws.devices.data(),   ws.rngs.data(),  nullptr,
@@ -73,6 +74,33 @@ void serve_rank(int fd, const wire::WorkerPopulation& pop) {
 }
 
 }  // namespace
+
+void serve_rank(int fd, std::uint32_t rank, long timeout_ms, std::FILE* log) {
+  wire::WorkerPopulation pop;
+  {  // the frame buffer is freed before the slice is built
+    const pwire::DecodedFrame frame =
+        pwire::read_frame_deadline(fd, timeout_ms);
+    if (frame.kind != pwire::kFramePopulation)
+      throw RuntimeError("mec worker expected a population frame, got " +
+                         pwire::frame_kind_name(frame.kind));
+    pop = wire::decode_population(frame.payload);
+  }
+  if (pop.rank != rank)
+    throw RuntimeError("population frame is for rank " +
+                       std::to_string(pop.rank) + " but this is rank " +
+                       std::to_string(rank));
+  if (log != nullptr)
+    std::fprintf(log,
+                 "mec worker: serving rank %u/%u (devices [%u, %u), shards "
+                 "[%u, %u) of %u, %s)\n",
+                 pop.rank, pop.ranks, pop.device_lo, pop.device_hi,
+                 pop.shard_lo, pop.shard_hi, pop.shard_count,
+                 pop.with_faults ? "faults on" : "faults off");
+  if (pop.with_faults)
+    serve_slice<true>(fd, std::move(pop));
+  else
+    serve_slice<false>(fd, std::move(pop));
+}
 
 WorkerDaemon::WorkerDaemon(const Options& options)
     : options_(options), listen_fd_(listen_on(options.listen)) {
@@ -97,7 +125,7 @@ void WorkerDaemon::shutdown() {
 
 void WorkerDaemon::serve_connection(int fd) {
   const long timeout_ms = parallel::resolve_transport_timeout_ms();
-  pwire::DecodedFrame frame = pwire::read_frame_deadline(fd, timeout_ms);
+  const pwire::DecodedFrame frame = pwire::read_frame_deadline(fd, timeout_ms);
   if (frame.kind != pwire::kFrameHello)
     throw RuntimeError("mec worker expected a hello frame, got " +
                        pwire::frame_kind_name(frame.kind));
@@ -116,27 +144,7 @@ void WorkerDaemon::serve_connection(int fd) {
   ack.rank = hello.rank;
   pwire::write_frame(fd, pwire::kFrameHelloAck, wire::encode_hello_ack(ack));
 
-  frame = pwire::read_frame_deadline(fd, timeout_ms);
-  if (frame.kind != pwire::kFramePopulation)
-    throw RuntimeError("mec worker expected a population frame, got " +
-                       pwire::frame_kind_name(frame.kind));
-  const wire::WorkerPopulation pop = wire::decode_population(frame.payload);
-  if (pop.rank != hello.rank)
-    throw RuntimeError("population frame is for rank " +
-                       std::to_string(pop.rank) +
-                       " but the hello assigned rank " +
-                       std::to_string(hello.rank));
-  if (!options_.quiet)
-    std::fprintf(stderr,
-                 "mec worker: serving rank %u/%u (devices [%u, %u), shards "
-                 "[%u, %u) of %u, %s)\n",
-                 pop.rank, pop.ranks, pop.device_lo, pop.device_hi,
-                 pop.shard_lo, pop.shard_hi, pop.shard_count,
-                 pop.with_faults ? "faults on" : "faults off");
-  if (pop.with_faults)
-    serve_rank<true>(fd, pop);
-  else
-    serve_rank<false>(fd, pop);
+  serve_rank(fd, hello.rank, timeout_ms, options_.quiet ? nullptr : stderr);
 }
 
 int WorkerDaemon::serve() {

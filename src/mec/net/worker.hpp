@@ -2,11 +2,11 @@
 //
 // A daemon binds HOST:PORT (port 0 = ephemeral, for tests), accepts one
 // coordinator connection at a time, and serves one full run per connection:
-// versioned handshake, population decode, worker-side rebuild of the rank's
-// scenario slice, then the ordinary serve_worker barrier loop — the same
-// loop a forked ProcessTransport child runs, over a TCP fd instead of a
-// socketpair.  After finalize (or any error) it goes back to accepting, so
-// one daemon can serve many runs back to back.
+// the versioned handshake, then serve_rank — population decode, rebuild of
+// the rank's scenario slice, the serve_worker barrier loop — which is the
+// whole life of a forked ProcessTransport rank too, over a socketpair
+// instead of a TCP fd.  After finalize (or any error) it goes back to
+// accepting, so one daemon can serve many runs back to back.
 //
 // Handshake reads are deadline-bounded (MEC_TRANSPORT_TIMEOUT_MS), so a
 // port-scanning or garbage client cannot wedge the daemon: a bad magic,
@@ -17,11 +17,21 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 
 #include "mec/net/address.hpp"
 #include "mec/net/socket.hpp"
 
 namespace mec::net {
+
+/// The rank entry of both fd backends: reads rank `rank`'s population frame
+/// from `fd` within `timeout_ms`, rebuilds the rank's slice, answers with a
+/// ready frame and serves the barrier loop until the final totals are
+/// sent.  `log`, when non-null, gets a one-line summary of the slice before
+/// the run starts.  Throws mec::RuntimeError on a wire error or a
+/// population frame that is malformed or for another rank.
+void serve_rank(int fd, std::uint32_t rank, long timeout_ms,
+                std::FILE* log = nullptr);
 
 class WorkerDaemon {
  public:

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cerrno>
@@ -18,9 +19,11 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <type_traits>
 
 #include "mec/common/error.hpp"
+#include "mec/net/worker.hpp"
 #include "mec/obs/run_log.hpp"
 #include "mec/obs/wire.hpp"
 #include "mec/parallel/shard_executor.hpp"
@@ -421,6 +424,9 @@ void write_all(int fd, struct iovec* iov, std::size_t count) {
     const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET)
+        throw wire::PeerError(wire::PeerError::Kind::kClosed,
+                              "transport peer closed the channel");
       throw RuntimeError(std::string("transport write failed: ") +
                          std::strerror(errno));
     }
@@ -435,52 +441,6 @@ void write_all(int fd, struct iovec* iov, std::size_t count) {
       iov->iov_len -= left;
     }
   }
-}
-
-/// Blocking read of exactly `n` bytes; false on clean EOF at a boundary.
-bool read_all(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw RuntimeError(std::string("transport read failed: ") +
-                         std::strerror(errno));
-    }
-    if (r == 0) {
-      if (got == 0) return false;
-      throw RuntimeError("transport peer closed mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-/// Checks the CRC tail of a received `payload + crc` body, then trims the
-/// tail so the receive buffer itself becomes the frame payload.
-void finish_body(std::vector<std::uint8_t>& body) {
-  const std::size_t len = body.size() - 4;
-  if (load_le<std::uint32_t>(body.data() + len) !=
-      obs::crc32(std::span(body.data(), len)))
-    throw RuntimeError("transport frame CRC mismatch");
-  body.resize(len);
-}
-
-/// Reads one complete frame into `out`, blocking without timeout (worker
-/// side), reusing out.payload's capacity.  Returns false on clean EOF
-/// before a frame starts.
-bool read_frame_blocking(int fd, wire::DecodedFrame& out) {
-  std::uint8_t header[8];
-  if (!read_all(fd, header, sizeof header)) return false;
-  out.kind = load_le<std::uint32_t>(header);
-  const std::uint32_t len = load_le<std::uint32_t>(header + 4);
-  if (len > wire::kMaxTransportPayload)
-    throw RuntimeError("transport frame length exceeds the size cap");
-  out.payload.resize(static_cast<std::size_t>(len) + 4);
-  if (!read_all(fd, out.payload.data(), out.payload.size()))
-    throw RuntimeError("transport peer closed mid-frame");
-  finish_body(out.payload);
-  return true;
 }
 
 long env_long(const char* name, long fallback) {
@@ -589,7 +549,13 @@ DecodedFrame read_frame_deadline(int fd, long timeout_ms,
     body_have += static_cast<std::size_t>(r);
     if (body_have == body.size()) break;
   }
-  finish_body(body);
+  // Check the CRC tail, then trim it: the receive buffer itself becomes
+  // the frame payload.
+  const std::size_t len = body.size() - 4;
+  if (load_le<std::uint32_t>(body.data() + len) !=
+      obs::crc32(std::span(body.data(), len)))
+    throw RuntimeError("transport frame CRC mismatch");
+  body.resize(len);
   DecodedFrame frame;
   frame.kind = load_le<std::uint32_t>(header);
   frame.payload = std::move(body);
@@ -609,12 +575,14 @@ void serve_worker(RankWorker& worker, std::size_t rank, int fd) {
   const long stall_barrier = env_long("MEC_TEST_WORKER_STALL_BARRIER", 1);
   long barriers = 0;
 
-  // Both buffers keep their capacity from one barrier to the next.
+  // Both buffers keep their capacity from one barrier to the next.  The
+  // coordinator's serial work between frames has no useful bound, so a
+  // rank waits up to the longest deadline the transport admits.
   wire::DecodedFrame frame;
   std::vector<std::uint8_t> out;
   for (;;) {
-    if (!read_frame_blocking(fd, frame))
-      throw RuntimeError("transport coordinator closed the channel");
+    frame = wire::read_frame_deadline(fd, kMaxTransportTimeoutMs,
+                                      std::move(frame.payload));
     switch (frame.kind) {
       case wire::kFrameAdvance: {
         const BarrierRequest req = wire::decode_barrier_request(frame.payload);
@@ -663,9 +631,34 @@ FramedTransport::FramedTransport(std::size_t ranks, std::uint32_t n_devices,
       name_(std::move(name)),
       closed_(std::move(closed)) {}
 
-void FramedTransport::send_frame(std::size_t rank, std::uint32_t kind,
+void FramedTransport::start(
+    std::span<const std::vector<std::uint8_t>> populations,
+    std::span<const double> initial_thresholds) {
+  MEC_EXPECTS(populations.size() == peers_.size());
+  const double t_setup = -1.0;  // no barrier yet
+  for (std::size_t r = 0; r < peers_.size(); ++r)
+    send_frame(r, t_setup, wire::kFramePopulation, populations[r]);
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
+    obs::wire::ByteReader ready(
+        read_frame(r, t_setup, wire::kFrameReady).payload);
+    const std::uint32_t echoed = ready.get_u32();
+    if (echoed != r)
+      fail(r, t_setup, "reported ready as rank " + std::to_string(echoed));
+  }
+  broadcast_thresholds(initial_thresholds);
+}
+
+void FramedTransport::send_frame(std::size_t rank, double barrier_time,
+                                 std::uint32_t kind,
                                  std::span<const std::uint8_t> payload) {
-  wire::write_frame(peers_[rank].fd.get(), kind, payload);
+  try {
+    wire::write_frame(peers_[rank].fd.get(), kind, payload);
+  } catch (const wire::PeerError&) {
+    // The rank is gone, but what it wrote before leaving is still readable:
+    // the read fails the run with the error frame it left, or as a closed
+    // channel.  It cannot return, since an error frame always fails.
+    read_frame(rank, barrier_time, wire::kFrameError);
+  }
   ++peers_[rank].stats.frames_sent;
 }
 
@@ -717,7 +710,7 @@ std::span<const ShardBarrierView> FramedTransport::advance(
   const std::vector<std::uint8_t> payload =
       wire::encode_barrier_request(request);
   for (std::size_t r = 0; r < peers_.size(); ++r)
-    send_frame(r, wire::kFrameAdvance, payload);
+    send_frame(r, request.limit, wire::kFrameAdvance, payload);
   views_.clear();
   total_q_ = 0.0;
   total_q2_ = 0.0;
@@ -745,15 +738,16 @@ std::span<const ShardBarrierView> FramedTransport::advance(
 void FramedTransport::broadcast_thresholds(std::span<const double> values) {
   const std::vector<std::uint8_t> payload = wire::encode_thresholds(values);
   for (std::size_t r = 0; r < peers_.size(); ++r)
-    send_frame(r, wire::kFrameThresholds, payload);
+    send_frame(r, peers_[r].last_barrier_time, wire::kFrameThresholds,
+               payload);
 }
 
 void FramedTransport::finalize(bool flipped) {
   const std::uint8_t payload[1] = {static_cast<std::uint8_t>(flipped ? 1 : 0)};
-  for (std::size_t r = 0; r < peers_.size(); ++r)
-    send_frame(r, wire::kFrameFinalize, payload);
-  totals_.assign(n_devices_, DeviceTotals{});
   const double t_mark = -1.0;  // finalize has no barrier time
+  for (std::size_t r = 0; r < peers_.size(); ++r)
+    send_frame(r, t_mark, wire::kFrameFinalize, payload);
+  totals_.assign(n_devices_, DeviceTotals{});
   for (std::size_t r = 0; r < peers_.size(); ++r) {
     const wire::FinalTotals fin = wire::decode_device_totals(
         read_frame(r, t_mark, wire::kFrameFinal).payload);
@@ -778,27 +772,35 @@ RankStats FramedTransport::rank_stats(std::size_t rank) const {
 
 // --- process backend ---------------------------------------------------------
 
-std::optional<int> ChildProcess::reap(bool kill) noexcept {
+std::optional<int> ChildProcess::reap(bool kill, long grace_ms) noexcept {
   if (pid_ <= 0) return std::nullopt;
   int status = 0;
-  // Under `kill`, a child that already exited keeps its own status.
-  pid_t done = kill ? ::waitpid(pid_, &status, WNOHANG) : 0;
-  if (done == 0) {
-    if (kill) ::kill(pid_, SIGKILL);
-    done = ::waitpid(pid_, &status, 0);
+  pid_t done = 0;
+  if (kill) {
+    // A child that already exited, or exits within the grace period (one
+    // that sent its error frame is on its way out), keeps its own status.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(grace_ms);
+    while ((done = ::waitpid(pid_, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (done == 0) ::kill(pid_, SIGKILL);
   }
+  if (done == 0) done = ::waitpid(pid_, &status, 0);
   const bool reaped = done == pid_;
   pid_ = -1;
   return reaped ? std::optional<int>(status) : std::nullopt;
 }
 
-ProcessTransport::ProcessTransport(const Config& config,
-                                   const WorkerFactory& factory)
-    : FramedTransport(config.workers, config.n_devices, "transport",
+ProcessTransport::ProcessTransport(
+    std::uint32_t n_devices,
+    std::span<const std::vector<std::uint8_t>> populations,
+    std::span<const double> initial_thresholds)
+    : FramedTransport(populations.size(), n_devices, "transport",
                       "exited unexpectedly") {
-  MEC_EXPECTS(config.workers >= 1 && config.workers <= config.shard_count);
-  children_.reserve(config.workers);
-  for (std::size_t r = 0; r < config.workers; ++r) {
+  MEC_EXPECTS(!populations.empty());
+  children_.reserve(populations.size());
+  for (std::size_t r = 0; r < populations.size(); ++r) {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
       throw RuntimeError(std::string("transport socketpair failed: ") +
@@ -810,18 +812,16 @@ ProcessTransport::ProcessTransport(const Config& config,
       throw RuntimeError(std::string("transport fork failed: ") +
                          std::strerror(errno));
     if (pid == 0) {
-      // Child: keep only this rank's channel, build the worker in place
-      // (everything it needs arrived via copy-on-write), serve, and leave
-      // through _exit so no parent-owned state — atexit handlers, stream
-      // sinks, the handles on this rank's siblings — is torn down twice.
+      // Child: keep only this rank's channel, serve it as a `mec worker`
+      // daemon would after its handshake, and leave through _exit so no
+      // parent-owned state — atexit handlers, stream sinks, the handles on
+      // this rank's siblings — is torn down twice.
       ours.reset();
       for (std::size_t q = 0; q < r; ++q) peers_[q].fd.reset();
       int status = 1;
       try {
-        const auto [shard_lo, shard_hi] =
-            rank_shard_range(config.shard_count, config.workers, r);
-        std::unique_ptr<RankWorker> worker = factory(r, shard_lo, shard_hi);
-        serve_worker(*worker, r, theirs.get());
+        net::serve_rank(theirs.get(), static_cast<std::uint32_t>(r),
+                        timeout_ms_);
         status = 0;
       } catch (const std::exception& e) {
         try {
@@ -836,10 +836,15 @@ ProcessTransport::ProcessTransport(const Config& config,
     children_.emplace_back(pid);
     peers_[r].fd = std::move(ours);
   }
+  start(populations, initial_thresholds);
 }
 
 std::string ProcessTransport::describe_peer(std::size_t rank) {
-  const std::optional<int> status = children_[rank].reap(/*kill=*/true);
+  // Up to a quarter of the read deadline (at most 1 s) for a rank that is
+  // already exiting on its own, so its exit status is reported, not a kill.
+  const long grace_ms = std::min(timeout_ms_ / 4, 1000L);
+  const std::optional<int> status =
+      children_[rank].reap(/*kill=*/true, grace_ms);
   if (status && WIFEXITED(*status))
     return "(exit status " + std::to_string(WEXITSTATUS(*status)) + ")";
   if (status && WIFSIGNALED(*status) && WTERMSIG(*status) != SIGKILL)

@@ -17,9 +17,11 @@
 //                       dialect (obs/wire.hpp + obs::crc32).
 //
 // ProcessTransport and net::TcpTransport are both FramedTransports: one
-// coordinator-side core owns the per-rank fds, the barrier exchange and the
-// failure diagnostics, and a backend adds only how its ranks are set up and
-// how a dead rank is described.
+// coordinator-side core owns the per-rank fds, the population/ready/
+// threshold start-up, the barrier exchange and the failure diagnostics, and
+// a backend adds only how its channels are connected and how a dead rank is
+// described.  Behind either channel runs the same rank entry
+// (net::serve_rank): a rank rebuilds its slice from its population frame.
 //
 // Determinism contract (docs/ARCHITECTURE.md #8): everything in a barrier
 // payload is either an order-invariant merge (integer counters, latency
@@ -33,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -342,13 +343,15 @@ class PeerError final : public std::runtime_error {
 /// Writes one complete frame to `fd` — header, the caller's payload and the
 /// CRC go out as one gathered write, never copied into a frame buffer;
 /// short writes and EINTR are retried until the whole envelope is on the
-/// wire.
+/// wire.  Throws PeerError (kClosed) when the peer is gone (EPIPE,
+/// ECONNRESET) and mec::RuntimeError on any other write error.
 void write_frame(int fd, std::uint32_t kind,
                  std::span<const std::uint8_t> payload);
 
-/// Reads one complete frame from `fd` within `timeout_ms` — the poll-deadline
-/// loop both backends share.  Partial reads are resumed across polls; the
-/// deadline covers the whole frame, not each chunk.  Throws PeerError
+/// Reads one complete frame from `fd` within `timeout_ms` — the one frame
+/// reader of both backends, on both ends of the channel.  Partial reads are
+/// resumed across polls; the deadline covers the whole frame, not each
+/// chunk.  Throws PeerError
 /// (kClosed on EOF, kTimeout on deadline) and mec::RuntimeError on CRC
 /// mismatch, an oversized length, or a poll/read error.  The payload is the
 /// receive buffer itself; `recycled`, when given, becomes that buffer, so a
@@ -397,15 +400,17 @@ long resolve_transport_timeout_ms(long fallback_ms = 300000);
 // --- framed core (coordinator side of every fd backend) -------------------
 
 /// Coordinator side of a rank fleet reached over connected fds, one per
-/// rank: the barrier exchange, the deadline-bounded reads and the failure
-/// diagnostic, shared by every backend.  A backend connects the fds in its
-/// constructor (fork + socketpair, TCP connect + handshake) and supplies the
-/// dead-peer hook; everything after setup runs here.
+/// rank: the start-up, the barrier exchange, the deadline-bounded reads and
+/// the failure diagnostic, shared by every backend.  A backend connects the
+/// fds in its constructor (fork + socketpair, TCP connect + handshake),
+/// calls start(), and supplies the dead-peer hook; everything else runs
+/// here.
 ///
 /// A rank that dies, stalls (no frame within MEC_TRANSPORT_TIMEOUT_MS),
-/// sends an error frame or answers with the wrong frame kind fails the run
-/// with a mec::RuntimeError naming the rank, the backend's description of
-/// it, the barrier, its last completed barrier and the frame still awaited.
+/// sends an error frame, breaks the pipe or answers with the wrong frame
+/// kind fails the run with a mec::RuntimeError naming the rank, the
+/// backend's description of it, the barrier, its last completed barrier and
+/// the frame still awaited.
 class FramedTransport : public Transport {
  public:
   FramedTransport(const FramedTransport&) = delete;
@@ -441,7 +446,15 @@ class FramedTransport : public Transport {
     std::uint32_t pending = 0;
   };
 
-  void send_frame(std::size_t rank, std::uint32_t kind,
+  /// Rank start-up over connected fds: ships populations[r] to rank r,
+  /// waits for every rank's ready frame (its slice is built), then pushes
+  /// `initial_thresholds`.  A rank that fails to build its slice fails the
+  /// run with its own error text.
+  void start(std::span<const std::vector<std::uint8_t>> populations,
+             std::span<const double> initial_thresholds);
+  /// Writes one frame to `rank`.  A broken pipe fails the run via fail(),
+  /// with the error frame the rank left behind when there is one.
+  void send_frame(std::size_t rank, double barrier_time, std::uint32_t kind,
                   std::span<const std::uint8_t> payload);
   /// Deadline-bounded read of the next frame from `rank`, which must be of
   /// kind `expected`; an error frame, EOF, timeout or another kind fails
@@ -472,12 +485,6 @@ class FramedTransport : public Transport {
 
 // --- process backend -------------------------------------------------------
 
-/// Builds the rank's worker inside the forked child (so the closure and
-/// everything it captures — device states, RNG streams, fault views — are
-/// inherited copy-on-write, never serialized).
-using WorkerFactory = std::function<std::unique_ptr<RankWorker>(
-    std::size_t rank, std::size_t shard_lo, std::size_t shard_hi)>;
-
 /// Child-side message loop: serves kAdvance/kThresholds/kFinalize over `fd`
 /// until the final totals are shipped.  Honors the MEC_TEST_WORKER_CRASH_* /
 /// MEC_TEST_WORKER_STALL_* hooks used by the robustness tests.  Throws
@@ -497,30 +504,27 @@ class ChildProcess {
   ChildProcess& operator=(const ChildProcess&) = delete;
 
   /// Waits for the child and returns its wait status; under `kill` a
-  /// child that has not exited yet is SIGKILLed first.  nullopt once the
-  /// child was reaped or when waitpid fails.
-  std::optional<int> reap(bool kill) noexcept;
+  /// child that has not exited within `grace_ms` is SIGKILLed first.
+  /// nullopt once the child was reaped or when waitpid fails.
+  std::optional<int> reap(bool kill, long grace_ms = 0) noexcept;
 
  private:
   pid_t pid_;
 };
 
-/// Coordinator side of the multi-process backend: forks one worker process
-/// per rank over a socketpair and assigns rank r the shard slice
-/// rank_shard_range(K, W, r).  A failure message names the rank's wait
-/// status ("exit status 17"); a stalled rank is SIGKILLed and reaped.
+/// Coordinator side of the multi-process backend: forks one rank per
+/// population payload over a socketpair; each child runs net::serve_rank,
+/// the rank entry of a `mec worker` daemon, on its end.  A failure message
+/// names the rank's wait status ("exit status 17"); a stalled rank is
+/// SIGKILLed and reaped.
 class ProcessTransport final : public FramedTransport {
  public:
-  struct Config {
-    std::size_t shard_count = 1;
-    std::size_t workers = 1;       ///< already clamped to shard_count
-    std::uint32_t n_devices = 0;
-  };
-
-  /// Forks the workers; `factory` runs only in the children.  Throws
-  /// mec::RuntimeError when a socketpair or fork fails, after killing and
-  /// reaping the ranks already forked.
-  ProcessTransport(const Config& config, const WorkerFactory& factory);
+  /// Forks the ranks, then start()s them.  Throws mec::RuntimeError when a
+  /// socketpair or fork fails, after killing and reaping the ranks already
+  /// forked, or when a rank fails to build its slice.
+  ProcessTransport(std::uint32_t n_devices,
+                   std::span<const std::vector<std::uint8_t>> populations,
+                   std::span<const double> initial_thresholds);
 
  private:
   std::string describe_peer(std::size_t rank) override;

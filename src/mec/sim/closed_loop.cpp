@@ -59,8 +59,6 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   sim_options.seed = options.seed;
   sim_options.service = options.service;
   sim_options.latency = options.latency;
-  sim_options.service_spec = options.service_spec;
-  sim_options.latency_spec = options.latency_spec;
   sim_options.utilization_ewma_tau = options.utilization_ewma_tau;
   sim_options.epoch_period = options.update_period;
   sim_options.faults = options.faults;

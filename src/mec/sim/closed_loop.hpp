@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,12 +33,8 @@ struct ClosedLoopOptions {
   double oscillation_tol = 1e-12;
   std::uint64_t seed = 1;
   core::UpdateGate update_gate;   ///< null => every device updates
-  ServiceSampler service;         ///< null => exponential
-  LatencySampler latency;         ///< null => exponential
-  /// Wire-describable sampler specs forwarded to SimulationOptions;
-  /// required (instead of the closures above) for transport=tcp.
-  std::optional<SamplerSpec> service_spec;
-  std::optional<SamplerSpec> latency_spec;
+  SamplerSpec service;            ///< forwarded to SimulationOptions
+  SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
   /// Optional fault/churn schedule forwarded to the simulator.  With churn,
   /// joining devices get their own MutableTroPolicy (threshold 0 until the

@@ -96,8 +96,8 @@ struct PriceBasedOptions {
   double horizon = 200.0;
   std::uint64_t seed = 1;
   ClusterTopology topology;  ///< initial prices come from topology.prices
-  ServiceSampler service;    ///< null => exponential
-  LatencySampler latency;    ///< null => exponential
+  SamplerSpec service;
+  SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
   std::shared_ptr<const fault::FaultSchedule> faults;
@@ -136,8 +136,8 @@ struct MinorityGameRunOptions {
   double horizon = 200.0;
   std::uint64_t seed = 1;
   ClusterTopology topology;
-  ServiceSampler service;
-  LatencySampler latency;
+  SamplerSpec service;
+  SamplerSpec latency;
   double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
   std::shared_ptr<const fault::FaultSchedule> faults;

@@ -6,11 +6,11 @@
 // counters.  The serial barrier work (gamma replay, epoch callbacks,
 // stream windows) lives in sim/coordinator.hpp; the two halves communicate
 // only through BarrierRequest/ShardBarrierView, which is what lets the
-// same code serve the in-process rank and a forked worker process
-// unchanged.
+// same code serve the in-process rank and a rank behind a wire unchanged.
 //
-// This header is internal to mec_simulation.cpp: the templates here are
-// instantiated once per (fault mode x decision provider) pair in that TU.
+// This header is internal to the engine: mec_simulation.cpp instantiates
+// it per (fault mode x decision provider) pair, net/worker.cpp for the
+// mirrored-threshold provider of ranks behind a wire.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +31,7 @@
 #include "mec/sim/device_state.hpp"
 #include "mec/sim/mec_simulation.hpp"
 #include "mec/sim/policy_dispatch.hpp"
+#include "mec/sim/workspace.hpp"
 
 namespace mec::sim::engine {
 
@@ -41,8 +42,8 @@ struct LegContext {
   DeviceState* devices;
   random::Xoshiro256* rngs;
   const Decide* decide;
-  const ServiceSampler* service;
-  const LatencySampler* latency;
+  const Sampler* service;
+  const Sampler* latency;
   double warmup;
   double t_end;
   std::uint32_t n_devices;
@@ -312,9 +313,9 @@ void init_shard(parallel::ShardContext& sc,
 
 /// One rank's executable side: owns the shard slice [shard_lo, shard_hi)
 /// of the workspace and serves the RankWorker protocol over it.  The
-/// in-process run wraps one LegRunner covering every shard; a process
-/// worker builds one per child for its slice (over a TroValueDecide mirror
-/// of the coordinator's thresholds, refreshed by set_thresholds at epochs).
+/// in-process run wraps one LegRunner covering every shard; a rank behind
+/// a wire (net::serve_rank) builds one for its slice, over a TroValueDecide
+/// mirror of the coordinator's thresholds refreshed by set_thresholds.
 template <bool WithFaults, class Decide>
 class LegRunner final : public parallel::RankWorker {
  public:

@@ -63,28 +63,13 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                   "the observation grid)");
   if (options_.fixed_gamma)
     MEC_EXPECTS(*options_.fixed_gamma >= 0.0 && *options_.fixed_gamma <= 1.0);
-  MEC_EXPECTS_MSG(!(options_.service && options_.service_spec),
-                  "set SimulationOptions::service or service_spec, not both");
-  MEC_EXPECTS_MSG(!(options_.latency && options_.latency_spec),
-                  "set SimulationOptions::latency or latency_spec, not both");
-  if (!options_.service) {
-    if (!options_.service_spec) options_.service_spec.emplace();
-    options_.service = make_service_sampler(*options_.service_spec);
-  }
-  if (!options_.latency) {
-    if (!options_.latency_spec) options_.latency_spec.emplace();
-    options_.latency = make_latency_sampler(*options_.latency_spec);
-  }
-  if (options_.transport == TransportKind::kTcp) {
-    MEC_EXPECTS_MSG(!options_.worker_addresses.empty(),
-                    "transport=tcp needs worker_addresses (one host:port per "
-                    "rank)");
-    MEC_EXPECTS_MSG(
-        options_.service_spec && options_.latency_spec,
-        "transport=tcp needs wire-describable samplers: set service_spec/"
-        "latency_spec instead of raw service/latency closures (a closure "
-        "cannot be shipped to a remote worker)");
-  }
+  // Built here only to reject a bad spec at entry; each run rebuilds them.
+  Sampler(options_.service, Sampler::Role::kService);
+  Sampler(options_.latency, Sampler::Role::kLatency);
+  MEC_EXPECTS_MSG(options_.transport != TransportKind::kTcp ||
+                      !options_.worker_addresses.empty(),
+                  "transport=tcp needs worker_addresses (one host:port per "
+                  "rank)");
   n_initial_ = users_.size();
   if (options_.faults && !options_.faults->empty()) {
     options_.faults->check(n_initial_);

@@ -25,70 +25,13 @@
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
-#include "mec/random/empirical.hpp"
 #include "mec/random/rng.hpp"
 #include "mec/sim/coupling.hpp"
 #include "mec/sim/metrics.hpp"
 #include "mec/sim/policies.hpp"
+#include "mec/sim/samplers.hpp"
 
 namespace mec::sim {
-
-/// Draws one local service time for a device. Must have mean 1/s_n.
-using ServiceSampler =
-    std::function<double(random::Xoshiro256&, const core::UserParams&)>;
-
-/// Draws one wireless offload latency for a device. Must have mean tau_n.
-using LatencySampler =
-    std::function<double(random::Xoshiro256&, const core::UserParams&)>;
-
-/// Exponential(s_n) service — the theoretical model.
-ServiceSampler exponential_service();
-/// Deterministic 1/s_n service.
-ServiceSampler deterministic_service();
-/// Resamples `times` rescaled so each device's mean service time is 1/s_n.
-ServiceSampler empirical_service(random::EmpiricalDataset times);
-/// Erlang-k service with mean 1/s_n (SCV = 1/k). Requires stages >= 1.
-ServiceSampler erlang_service(std::size_t stages);
-/// Two-phase balanced-means hyperexponential service with mean 1/s_n and
-/// the given squared coefficient of variation. Requires scv >= 1.
-ServiceSampler hyperexponential_service(double scv);
-
-/// Exponential(mean tau_n) latency.
-LatencySampler exponential_latency();
-/// Deterministic tau_n latency.
-LatencySampler deterministic_latency();
-/// Resamples `latencies` rescaled so each device's mean latency is tau_n.
-LatencySampler empirical_latency(random::EmpiricalDataset latencies);
-
-/// Wire-describable sampler recipe.  A raw ServiceSampler/LatencySampler is
-/// an arbitrary closure and cannot cross a machine boundary; a spec is data,
-/// so the TCP transport ships it in the population frame and the worker
-/// rebuilds the *same* factory closure — same parameters, same RNG-draw
-/// order, hence bit-identical streams.  make_service_sampler /
-/// make_latency_sampler map each kind onto the factory of the same name.
-struct SamplerSpec {
-  enum class Kind : std::uint8_t {
-    kExponential = 0,
-    kDeterministic = 1,
-    /// param = stage count k >= 1 (service only).
-    kErlang = 2,
-    /// param = SCV >= 1 (service only).
-    kHyperExponential = 3,
-    /// data = samples to resample (rescaled per device to the target mean).
-    kEmpirical = 4,
-  };
-  Kind kind = Kind::kExponential;
-  double param = 0.0;
-  std::vector<double> data;
-
-  bool operator==(const SamplerSpec&) const = default;
-};
-
-/// Builds the sampler a spec describes; throws mec::RuntimeError on an
-/// invalid spec (bad param/data for the kind, or a latency kind the latency
-/// factories do not offer).
-ServiceSampler make_service_sampler(const SamplerSpec& spec);
-LatencySampler make_latency_sampler(const SamplerSpec& spec);
 
 /// How a run's shard legs execute relative to the coordinating process.
 /// Either way the coordinator/worker split goes through the same
@@ -101,17 +44,16 @@ enum class TransportKind {
   kInProcess,
   /// The run forks worker processes, each owning a contiguous slice of the
   /// shards; barrier payloads travel over length-prefixed CRC-checked
-  /// socket frames.  Requires a decision provider with per-device TRO
-  /// thresholds (threshold_value(n) >= 0 for every device) — virtual
-  /// non-TRO policies cannot be mirrored across a process boundary.
+  /// socket frames.  Each rank rebuilds its slice from a population frame,
+  /// exactly like a kTcp rank.  Requires a decision provider with
+  /// per-device TRO thresholds (threshold_value(n) >= 0 for every device) —
+  /// virtual non-TRO policies cannot be mirrored across a process boundary.
   kProcess,
   /// Ranks live in `mec worker` daemons reached over TCP
   /// (SimulationOptions::worker_addresses, one rank per address); the same
-  /// wire dialect as kProcess plus a versioned handshake and an explicit
-  /// population frame per rank (workers cannot inherit device arrays by
-  /// fork).  Requires per-device TRO thresholds like kProcess, and
-  /// wire-describable samplers (service_spec/latency_spec — raw sampler
-  /// closures cannot cross a machine boundary).
+  /// wire dialect, population frames and rank entry as kProcess, plus a
+  /// versioned handshake.  Requires per-device TRO thresholds like
+  /// kProcess.
   kTcp,
 };
 
@@ -119,16 +61,11 @@ struct SimulationOptions {
   double warmup = 20.0;    ///< discarded transient, in simulated seconds
   double horizon = 200.0;  ///< measurement window length
   std::uint64_t seed = 1;
-  ServiceSampler service;  ///< null => exponential_service()
-  LatencySampler latency;  ///< null => exponential_latency()
-  /// Wire-describable sampler recipes.  Setting a spec (and leaving the
-  /// matching raw sampler null) makes the run TCP-shippable: the
-  /// constructor materializes the sampler via make_service_sampler /
-  /// make_latency_sampler, so results are identical to passing the factory
-  /// product directly.  Setting both a spec and its raw sampler is an
-  /// error; with neither, the spec defaults to exponential.
-  std::optional<SamplerSpec> service_spec;
-  std::optional<SamplerSpec> latency_spec;
+  /// Local service and wireless latency samplers (exponential by default;
+  /// see samplers.hpp).  Specs are data, so every transport runs the same
+  /// recipe: ranks behind a wire rebuild them from their population frame.
+  SamplerSpec service;
+  SamplerSpec latency;
   /// If set, the edge delay uses this constant utilization (quasi-stationary
   /// evaluation); otherwise an online EWMA estimate with time constant
   /// `utilization_ewma_tau` is used, seeded from `initial_gamma`.

@@ -1,138 +1,65 @@
-// Service- and latency-sampler factories (the pluggable distribution layer
-// of SimulationOptions).  Split from the engine so distribution changes
-// never touch — or recompile — the event-loop translation units.
+// Sampler construction: spec validation and the per-kind constants.  Split
+// from the engine so distribution changes never touch — or recompile — the
+// event-loop translation units beyond the inline draw.
+#include "mec/sim/samplers.hpp"
+
 #include <cmath>
-#include <cstddef>
 #include <string>
-#include <utility>
 
 #include "mec/common/error.hpp"
-#include "mec/sim/mec_simulation.hpp"
 
 namespace mec::sim {
 
-ServiceSampler exponential_service() {
-  return [](random::Xoshiro256& rng, const core::UserParams& u) {
-    return random::exponential(rng, u.service_rate);
-  };
-}
-
-ServiceSampler deterministic_service() {
-  return [](random::Xoshiro256&, const core::UserParams& u) {
-    return 1.0 / u.service_rate;
-  };
-}
-
-ServiceSampler empirical_service(random::EmpiricalDataset times) {
-  MEC_EXPECTS(times.mean() > 0.0);
-  const double dataset_mean = times.mean();
-  return [times = std::move(times), dataset_mean](
-             random::Xoshiro256& rng, const core::UserParams& u) {
-    return times.resample(rng) / (dataset_mean * u.service_rate);
-  };
-}
-
-ServiceSampler erlang_service(std::size_t stages) {
-  MEC_EXPECTS(stages >= 1);
-  return [stages](random::Xoshiro256& rng, const core::UserParams& u) {
-    const double stage_rate =
-        static_cast<double>(stages) * u.service_rate;
-    double total = 0.0;
-    for (std::size_t i = 0; i < stages; ++i)
-      total += random::exponential(rng, stage_rate);
-    return total;
-  };
-}
-
-ServiceSampler hyperexponential_service(double scv) {
-  MEC_EXPECTS(scv >= 1.0);
-  // Balanced-means H2 fit (cf. queueing::hyperexponential_from_scv): branch
-  // probability p with rates 2p*s and 2(1-p)*s for mean 1/s.
-  const double p = 0.5 * (1.0 + std::sqrt((scv - 1.0) / (scv + 1.0)));
-  return [p](random::Xoshiro256& rng, const core::UserParams& u) {
-    const bool first = random::bernoulli(rng, p);
-    const double rate =
-        first ? 2.0 * p * u.service_rate : 2.0 * (1.0 - p) * u.service_rate;
-    return random::exponential(rng, rate);
-  };
-}
-
-LatencySampler exponential_latency() {
-  return [](random::Xoshiro256& rng, const core::UserParams& u) {
-    if (u.offload_latency <= 0.0) return 0.0;
-    return random::exponential(rng, 1.0 / u.offload_latency);
-  };
-}
-
-LatencySampler deterministic_latency() {
-  return [](random::Xoshiro256&, const core::UserParams& u) {
-    return u.offload_latency;
-  };
-}
-
-LatencySampler empirical_latency(random::EmpiricalDataset latencies) {
-  MEC_EXPECTS(latencies.mean() > 0.0);
-  const double dataset_mean = latencies.mean();
-  return [latencies = std::move(latencies), dataset_mean](
-             random::Xoshiro256& rng, const core::UserParams& u) {
-    return latencies.resample(rng) * (u.offload_latency / dataset_mean);
-  };
-}
-
-namespace {
-
-random::EmpiricalDataset spec_dataset(const SamplerSpec& spec,
-                                      const char* role) {
-  if (spec.data.empty())
-    throw RuntimeError(std::string("empirical ") + role +
-                       " sampler spec has no samples");
-  // EmpiricalDataset keeps its samples sorted, so a dataset rebuilt from a
-  // shipped spec resamples the exact sequence the coordinator's would.
-  return random::EmpiricalDataset(spec.data, "spec");
-}
-
-}  // namespace
-
-ServiceSampler make_service_sampler(const SamplerSpec& spec) {
+Sampler::Sampler(const SamplerSpec& spec, Role role) {
+  const bool service = role == Role::kService;
   switch (spec.kind) {
     case SamplerSpec::Kind::kExponential:
-      return exponential_service();
+      draw_ = service ? Draw::kExponentialService : Draw::kExponentialLatency;
+      return;
     case SamplerSpec::Kind::kDeterministic:
-      return deterministic_service();
-    case SamplerSpec::Kind::kErlang: {
-      const double stages = spec.param;
-      if (!(stages >= 1.0) || stages != std::floor(stages))
+      draw_ =
+          service ? Draw::kDeterministicService : Draw::kDeterministicLatency;
+      return;
+    case SamplerSpec::Kind::kErlang:
+      if (!service) break;
+      if (!(spec.param >= 1.0) || spec.param != std::floor(spec.param))
         throw RuntimeError(
             "erlang service sampler spec needs an integer stage count >= 1");
-      return erlang_service(static_cast<std::size_t>(stages));
-    }
+      draw_ = Draw::kErlangService;
+      stages_ = static_cast<std::size_t>(spec.param);
+      return;
     case SamplerSpec::Kind::kHyperExponential:
+      if (!service) break;
       if (!(spec.param >= 1.0))
         throw RuntimeError(
             "hyperexponential service sampler spec needs SCV >= 1");
-      return hyperexponential_service(spec.param);
-    case SamplerSpec::Kind::kEmpirical:
-      return empirical_service(spec_dataset(spec, "service"));
+      draw_ = Draw::kHyperExponentialService;
+      // Balanced-means H2 fit (cf. queueing::hyperexponential_from_scv):
+      // branch probability p with rates 2p*s and 2(1-p)*s for mean 1/s.
+      p_ = 0.5 * (1.0 + std::sqrt((spec.param - 1.0) / (spec.param + 1.0)));
+      return;
+    case SamplerSpec::Kind::kEmpirical: {
+      const char* what = service ? "service" : "latency";
+      if (spec.data.empty())
+        throw RuntimeError(std::string("empirical ") + what +
+                           " sampler spec has no samples");
+      // EmpiricalDataset keeps its samples sorted, so a dataset rebuilt
+      // from a shipped spec resamples the exact sequence the original would.
+      data_.emplace(spec.data, "spec");
+      mean_ = data_->mean();
+      if (!(mean_ > 0.0))
+        throw RuntimeError(std::string("empirical ") + what +
+                           " sampler spec needs a positive sample mean");
+      draw_ = service ? Draw::kEmpiricalService : Draw::kEmpiricalLatency;
+      return;
+    }
   }
+  if (!service)
+    throw RuntimeError(
+        "latency sampler spec supports exponential, deterministic, or "
+        "empirical kinds only");
   throw RuntimeError("unknown service sampler spec kind " +
                      std::to_string(static_cast<int>(spec.kind)));
-}
-
-LatencySampler make_latency_sampler(const SamplerSpec& spec) {
-  switch (spec.kind) {
-    case SamplerSpec::Kind::kExponential:
-      return exponential_latency();
-    case SamplerSpec::Kind::kDeterministic:
-      return deterministic_latency();
-    case SamplerSpec::Kind::kEmpirical:
-      return empirical_latency(spec_dataset(spec, "latency"));
-    case SamplerSpec::Kind::kErlang:
-    case SamplerSpec::Kind::kHyperExponential:
-      break;
-  }
-  throw RuntimeError(
-      "latency sampler spec supports exponential, deterministic, or "
-      "empirical kinds only");
 }
 
 }  // namespace mec::sim

@@ -91,8 +91,10 @@ TEST(ClosedLoop, WorksWithEmpiricalServiceTimes) {
   const auto& cfg = pop.config;
   ClosedLoopOptions opt;
   opt.horizon = 400.0;
-  opt.service = empirical_service(random::synthetic_yolo_processing_times());
-  opt.latency = empirical_latency(random::synthetic_wifi_offload_latencies());
+  opt.service = {.kind = SamplerSpec::Kind::kEmpirical,
+                 .data = random::synthetic_yolo_processing_times().samples()};
+  opt.latency = {.kind = SamplerSpec::Kind::kEmpirical,
+                 .data = random::synthetic_wifi_offload_latencies().samples()};
   const ClosedLoopResult r =
       run_closed_loop(pop.users, cfg.capacity, cfg.delay, opt);
   EXPECT_TRUE(r.estimate_settled);

@@ -203,7 +203,9 @@ TEST(Des, EmpiricalServiceSamplerPreservesTheMeanRate) {
   random::Xoshiro256 rng(6);
   core::UserParams u;
   u.service_rate = 4.0;
-  const ServiceSampler sampler = empirical_service(dataset);
+  const Sampler sampler(
+      {.kind = SamplerSpec::Kind::kEmpirical, .data = dataset.samples()},
+      Sampler::Role::kService);
   double acc = 0.0;
   const int n = 200000;
   for (int i = 0; i < n; ++i) acc += sampler(rng, u);
@@ -215,7 +217,9 @@ TEST(Des, EmpiricalLatencySamplerPreservesTheMeanLatency) {
   random::Xoshiro256 rng(7);
   core::UserParams u;
   u.offload_latency = 2.5;
-  const LatencySampler sampler = empirical_latency(dataset);
+  const Sampler sampler(
+      {.kind = SamplerSpec::Kind::kEmpirical, .data = dataset.samples()},
+      Sampler::Role::kLatency);
   double acc = 0.0;
   const int n = 200000;
   for (int i = 0; i < n; ++i) acc += sampler(rng, u);
@@ -227,8 +231,12 @@ TEST(Des, DeterministicSamplersAreExact) {
   core::UserParams u;
   u.service_rate = 5.0;
   u.offload_latency = 1.25;
-  EXPECT_DOUBLE_EQ(deterministic_service()(rng, u), 0.2);
-  EXPECT_DOUBLE_EQ(deterministic_latency()(rng, u), 1.25);
+  SamplerSpec deterministic;
+  deterministic.kind = SamplerSpec::Kind::kDeterministic;
+  EXPECT_DOUBLE_EQ(Sampler(deterministic, Sampler::Role::kService)(rng, u),
+                   0.2);
+  EXPECT_DOUBLE_EQ(Sampler(deterministic, Sampler::Role::kLatency)(rng, u),
+                   1.25);
 }
 
 TEST(Des, FixedGammaControlsTheEdgeDelaySeenByTasks) {
@@ -238,7 +246,7 @@ TEST(Des, FixedGammaControlsTheEdgeDelaySeenByTasks) {
   o.horizon = 300.0;
   o.warmup = 10.0;
   o.seed = 9;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   o.fixed_gamma = 0.0;
   MecSimulation sim_lo(users, 10.0, core::make_reciprocal_delay(), o);
   o.fixed_gamma = 0.9;
@@ -260,7 +268,7 @@ TEST(Des, EwmaFeedbackTracksTheOfferedLoad) {
   o.horizon = 500.0;
   o.warmup = 50.0;
   o.seed = 10;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
   const SimulationResult r = sim.run_tro(zeros);
   // gamma = 0.2 => g = 1/0.9; measured per-offload delay = tau + g(gamma_t)
@@ -325,7 +333,7 @@ TEST(Des, OffloadDelayPercentilesReflectLatencyPlusEdge) {
   o.horizon = 100.0;
   o.warmup = 5.0;
   o.seed = 22;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   o.fixed_gamma = 0.1;
   MecSimulation sim(users, 10.0, core::make_reciprocal_delay(), o);
   const SimulationResult r =

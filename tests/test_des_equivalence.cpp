@@ -158,7 +158,7 @@ TEST(GoldenTrace, DpoPoliciesOnTheGenericVirtualPath) {
   o.warmup = 0.0;
   o.horizon = 50.0;
   o.seed = 5;
-  o.latency = deterministic_latency();
+  o.latency.kind = SamplerSpec::Kind::kDeterministic;
   MecSimulation s(users, 8.0, core::make_reciprocal_delay(), o);
   std::vector<double> rhos;
   for (std::size_t i = 0; i < users.size(); ++i)

@@ -602,20 +602,5 @@ TEST(TcpTransportRobustness, RejectsPoliciesWithoutTroThresholds) {
   }
 }
 
-TEST(TcpTransportRobustness, RawSamplerClosuresAreRejected) {
-  // A closure cannot be shipped to a remote rank; the constructor must say
-  // so instead of silently running different distributions per side.
-  const auto users = mixed_users(8);
-  sim::SimulationOptions o = tcp_run_options({"127.0.0.1:9"});
-  o.service = sim::erlang_service(4);
-  try {
-    sim::MecSimulation des(users, 8.0, core::make_reciprocal_delay(), o);
-    FAIL() << "raw sampler closures must be rejected under transport=tcp";
-  } catch (const ContractViolation& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("service_spec"), std::string::npos) << what;
-  }
-}
-
 }  // namespace
 }  // namespace mec

@@ -13,9 +13,10 @@
 // The second half exercises the failure modes: a worker that dies mid-run
 // or stops responding must fail the run with a diagnostic naming the rank
 // and its last completed barrier — never hang — a rank setup that fails
-// partway leaves no forked rank behind, the framed core names a peer's
-// wrong or error frame, and policies that cannot be mirrored into a worker
-// process are rejected up front.
+// partway leaves no forked rank behind, a rank that cannot build its slice
+// is reported with its own message and exit status, the framed core names
+// a peer's wrong or error frame and a broken pipe, and policies that
+// cannot be mirrored into a worker process are rejected up front.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -24,6 +25,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +40,7 @@
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/user.hpp"
 #include "mec/fault/fault_schedule.hpp"
+#include "mec/net/protocol.hpp"
 #include "mec/parallel/transport.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
@@ -199,6 +202,28 @@ TEST(TransportEquivalence, TrackedGammaWithSampling) {
   o.utilization_ewma_tau = 5.0;
   o.initial_gamma = 0.3;
   o.sample_interval = 3.0;
+  expect_transport_invariant(o);
+}
+
+TEST(TransportEquivalence, NonExponentialSamplersCrossTheProcessBoundary) {
+  // Ranks rebuild their samplers from the specs in their population frame;
+  // every kind must draw exactly as the in-process run does.
+  using Kind = sim::SamplerSpec::Kind;
+  sim::SimulationOptions o;
+  o.warmup = 2.0;
+  o.horizon = 40.0;
+  o.seed = 4242;
+  o.utilization_ewma_tau = 5.0;
+  o.sample_interval = 4.0;
+  o.service.kind = Kind::kEmpirical;
+  o.service.data = {0.9, 0.1, 2.5, 0.33, 1.7};
+  o.latency.kind = Kind::kEmpirical;
+  o.latency.data = {0.4, 0.05, 1.1};
+  expect_transport_invariant(o);
+  o.service = {.kind = Kind::kHyperExponential, .param = 4.0, .data = {}};
+  o.latency = {.kind = Kind::kDeterministic, .param = 0.0, .data = {}};
+  expect_transport_invariant(o);
+  o.service = {.kind = Kind::kErlang, .param = 3.0, .data = {}};
   expect_transport_invariant(o);
 }
 
@@ -457,17 +482,10 @@ TEST(ProcessTransportRobustness, FailedRankSetupReapsTheRanksAlreadyForked) {
     ::getrlimit(RLIMIT_NOFILE, &limit);
     limit.rlim_cur = static_cast<rlim_t>(b) + 1;
     if (a < 0 || b < 0 || ::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
-    parallel::ProcessTransport::Config cfg;
-    cfg.shard_count = 2;
-    cfg.workers = 2;
-    cfg.n_devices = 2;
+    const std::vector<std::vector<std::uint8_t>> payloads(2);
     int code = 3;
     try {
-      parallel::ProcessTransport transport(
-          cfg, [](std::size_t, std::size_t, std::size_t)
-                   -> std::unique_ptr<parallel::RankWorker> {
-            throw RuntimeError("this rank is never served");
-          });
+      parallel::ProcessTransport transport(2, payloads, {});
     } catch (const RuntimeError&) {
       int status = 0;
       code = ::waitpid(-1, &status, WNOHANG) == -1 && errno == ECHILD ? 0 : 4;
@@ -480,6 +498,85 @@ TEST(ProcessTransportRobustness, FailedRankSetupReapsTheRanksAlreadyForked) {
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "2: lowering the fd limit failed; 3: the constructor did not throw; "
          "4: rank 0's process was left unreaped";
+}
+
+/// A well-formed population frame addressed to rank 1 of 2: a rank 0 that
+/// receives it fails its setup, naming both ranks.
+std::vector<std::uint8_t> population_for_rank_one() {
+  net::wire::WorkerPopulation pop;
+  pop.rank = 1;
+  pop.ranks = 2;
+  pop.n_devices = 2;
+  pop.n_initial = 2;
+  pop.n_clusters = 1;
+  pop.shard_count = 2;
+  pop.shard_lo = 1;
+  pop.shard_hi = 2;
+  pop.device_lo = 1;
+  pop.device_hi = 2;
+  pop.t_end = 1.0;
+  pop.users.resize(1);
+  return net::wire::encode_population(pop);
+}
+
+/// Starts a 1-rank process transport whose rank fails to build its slice
+/// (it sends an error frame, then exits 1); returns the coordinator's error.
+std::string failed_rank_setup() {
+  const std::vector<std::vector<std::uint8_t>> payloads{
+      population_for_rank_one()};
+  try {
+    parallel::ProcessTransport transport(2, payloads,
+                                         std::vector<double>(2, 0.0));
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "no failure";
+}
+
+TEST(ProcessTransportRobustness, RankSetupFailureReportsTheRanksOwnMessage) {
+  for (int i = 0; i < 20; ++i) {
+    const std::string what = failed_rank_setup();
+    EXPECT_NE(what.find("transport worker rank 0 "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("failed: population frame is for rank 1 but this is "
+                        "rank 0"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ProcessTransportRobustness, ExitingRankIsDescribedByItsExitStatus) {
+  // The rank exits on its own right after its error frame; the diagnostic
+  // must wait for that exit instead of SIGKILLing a rank already leaving.
+  for (int i = 0; i < 20; ++i) {
+    const std::string what = failed_rank_setup();
+    EXPECT_NE(what.find("rank 0 (exit status 1)"), std::string::npos) << what;
+  }
+}
+
+TEST(ChildProcess, ReapWaitsOutAnExitingChildBeforeKilling) {
+  // A child 50 ms from its own exit keeps its exit status under a 1 s
+  // grace; one that never exits is SIGKILLed once the grace runs out.
+  const pid_t exiting = ::fork();
+  ASSERT_GE(exiting, 0);
+  if (exiting == 0) {
+    ::usleep(50'000);
+    ::_exit(1);
+  }
+  const std::optional<int> status =
+      parallel::ChildProcess(exiting).reap(/*kill=*/true, 1000);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(WIFEXITED(*status) && WEXITSTATUS(*status) == 1) << *status;
+
+  const pid_t stuck = ::fork();
+  ASSERT_GE(stuck, 0);
+  if (stuck == 0)
+    for (;;) ::pause();
+  const std::optional<int> killed =
+      parallel::ChildProcess(stuck).reap(/*kill=*/true, 20);
+  ASSERT_TRUE(killed.has_value());
+  EXPECT_TRUE(WIFSIGNALED(*killed) && WTERMSIG(*killed) == SIGKILL)
+      << *killed;
 }
 
 /// A FramedTransport whose one rank is the far end of a plain socketpair,
@@ -544,6 +641,49 @@ TEST(FramedTransport, ErrorFrameTextReachesTheDiagnostic) {
   const std::string what = scripted_failure(
       {{pw::kFrameError, pw::encode_error("shard 3 ran out of memory")}});
   EXPECT_NE(what.find("rank 0 (scripted) failed: shard 3 ran out of memory"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("last completed barrier #0"), std::string::npos)
+      << what;
+}
+
+/// Lets the scripted peer leave `frames` behind and close its end, then
+/// advances once: the advance frame's write hits a broken pipe.
+std::string broken_pipe_failure(
+    const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>&
+        frames) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return "no socketpair";
+  ScriptedPeerTransport transport{parallel::ScopedFd(fds[0])};
+  {
+    const parallel::ScopedFd peer(fds[1]);
+    for (const auto& [kind, payload] : frames)
+      parallel::wire::write_frame(peer.get(), kind, payload);
+  }
+  parallel::BarrierRequest req;
+  req.limit = 2.0;
+  try {
+    transport.advance(req);
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "no failure";
+}
+
+TEST(FramedTransport, BrokenPipeReportsTheErrorFrameTheRankLeft) {
+  namespace pw = parallel::wire;
+  const std::string what = broken_pipe_failure(
+      {{pw::kFrameError, pw::encode_error("rank build failed: no memory")}});
+  EXPECT_NE(what.find("scripted transport worker rank 0 (scripted) failed: "
+                      "rank build failed: no memory"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("before the barrier at t=2"), std::string::npos) << what;
+}
+
+TEST(FramedTransport, BrokenPipeWithoutAnErrorFrameNamesTheRank) {
+  const std::string what = broken_pipe_failure({});
+  EXPECT_NE(what.find("scripted transport worker rank 0 (scripted) hung up"),
             std::string::npos)
       << what;
   EXPECT_NE(what.find("last completed barrier #0"), std::string::npos)

@@ -403,26 +403,18 @@ int cmd_simulate(const io::Args& args) {
   parse_workers_flag(args, so.transport, so.workers, so.worker_addresses);
   so.stream_counters = args.get_long("counters", 1) != 0;
   const std::string service = args.get_string("service", "exp");
-  // TCP ranks rebuild their samplers from wire-describable specs; the
-  // other transports keep taking the factory closures directly.  Either
-  // route materializes the same sampler, so results do not depend on it.
-  sim::SamplerSpec service_spec;
   if (service == "erlang4") {
-    service_spec.kind = sim::SamplerSpec::Kind::kErlang;
-    service_spec.param = 4.0;
+    so.service.kind = sim::SamplerSpec::Kind::kErlang;
+    so.service.param = 4.0;
   } else if (service == "hyperexp4") {
-    service_spec.kind = sim::SamplerSpec::Kind::kHyperExponential;
-    service_spec.param = 4.0;
+    so.service.kind = sim::SamplerSpec::Kind::kHyperExponential;
+    so.service.param = 4.0;
   } else if (service == "empirical") {
-    service_spec.kind = sim::SamplerSpec::Kind::kEmpirical;
-    service_spec.data = random::synthetic_yolo_processing_times().samples();
+    so.service.kind = sim::SamplerSpec::Kind::kEmpirical;
+    so.service.data = random::synthetic_yolo_processing_times().samples();
   } else if (service != "exp") {
     throw RuntimeError("unknown --service (exp|erlang4|hyperexp4|empirical)");
   }
-  if (so.transport == sim::TransportKind::kTcp)
-    so.service_spec = service_spec;
-  else if (service != "exp")
-    so.service = sim::make_service_sampler(service_spec);
 
   std::vector<double> xs(mfne.thresholds.begin(), mfne.thresholds.end());
   if (faults && faults->churn_arrivals() > 0) {
