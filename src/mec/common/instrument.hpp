@@ -1,22 +1,10 @@
 // Compile-time gate for engine instrumentation.
 //
 // The `MEC_OBS_COUNTERS` CMake option (default ON) defines the macro of the
-// same name; hot-path counter increments are wrapped in MEC_OBS_COUNT so a
-// build with the option OFF compiles them to nothing at all — the
-// des_scaling throughput floor is measured with the counters compiled in
-// but *disabled at runtime*, and must be unaffected either way.
+// same name; with the option OFF the coordinator never samples counters —
+// the des_scaling throughput floor is measured with the counters compiled
+// in but *disabled at runtime*, and must be unaffected either way.
 #pragma once
-
-#ifdef MEC_OBS_COUNTERS
-#define MEC_OBS_COUNT(statement) \
-  do {                           \
-    statement;                   \
-  } while (false)
-#else
-#define MEC_OBS_COUNT(statement) \
-  do {                           \
-  } while (false)
-#endif
 
 namespace mec {
 

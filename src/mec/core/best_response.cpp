@@ -12,41 +12,12 @@ namespace {
 // dispatch overhead below a percent while still load-balancing 10^4 users.
 constexpr std::size_t kUserGrain = 256;
 
+}  // namespace
+
 double user_offload_rate(const UserParams& u, double threshold) {
   return u.arrival_rate *
          queueing::tro_offload_probability(u.intensity(), threshold);
 }
-
-/// The parallel sweep behind both pool overloads: user n's threshold goes to
-/// thresholds[n] (when given) and its offload rate to rates[n]; the rates
-/// are then reduced serially in user order — the same additions, in the
-/// same order, as the serial overload's accumulation loop.
-double parallel_sweep(std::span<const UserParams> users,
-                      const EdgeDelay& delay, double capacity, double gamma,
-                      parallel::ThreadPool& pool, std::span<double> rates,
-                      std::int64_t* thresholds) {
-  MEC_EXPECTS(!users.empty());
-  MEC_EXPECTS(capacity > 0.0);
-  MEC_EXPECTS(gamma >= 0.0 && gamma <= 1.0);
-  MEC_EXPECTS(rates.size() == users.size());
-  const double g = delay(gamma);
-  pool.parallel_for_each(
-      users.size(),
-      [&](std::size_t n) {
-        const std::int64_t x = best_threshold(users[n], g);
-        if (thresholds != nullptr) thresholds[n] = x;
-        rates[n] = user_offload_rate(users[n], static_cast<double>(x));
-      },
-      kUserGrain);
-  double acc = 0.0;
-  for (const double r : rates) acc += r;
-  const double utilization =
-      acc / (static_cast<double>(users.size()) * capacity);
-  MEC_ENSURES(utilization >= 0.0);
-  return utilization;
-}
-
-}  // namespace
 
 BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,
@@ -72,19 +43,27 @@ BestResponse best_response(std::span<const UserParams> users,
 BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,
                            double gamma, parallel::ThreadPool& pool) {
+  MEC_EXPECTS(!users.empty());
+  MEC_EXPECTS(capacity > 0.0);
+  MEC_EXPECTS(gamma >= 0.0 && gamma <= 1.0);
+  const double g = delay(gamma);
   BestResponse out;
   out.thresholds.assign(users.size(), 0);
   std::vector<double> rates(users.size(), 0.0);
-  out.utilization = parallel_sweep(users, delay, capacity, gamma, pool, rates,
-                                   out.thresholds.data());
+  pool.parallel_for_each(
+      users.size(),
+      [&](std::size_t n) {
+        out.thresholds[n] = best_threshold(users[n], g);
+        rates[n] =
+            user_offload_rate(users[n], static_cast<double>(out.thresholds[n]));
+      },
+      kUserGrain);
+  // Reduced serially in user order: the serial overload's exact additions.
+  double acc = 0.0;
+  for (const double r : rates) acc += r;
+  out.utilization = acc / (static_cast<double>(users.size()) * capacity);
+  MEC_ENSURES(out.utilization >= 0.0);
   return out;
-}
-
-double best_response_utilization(std::span<const UserParams> users,
-                                 const EdgeDelay& delay, double capacity,
-                                 double gamma, parallel::ThreadPool& pool,
-                                 std::span<double> rates) {
-  return parallel_sweep(users, delay, capacity, gamma, pool, rates, nullptr);
 }
 
 double utilization_of_thresholds(std::span<const UserParams> users,

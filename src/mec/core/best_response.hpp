@@ -27,6 +27,10 @@ struct BestResponse {
   double utilization;                    ///< V(gamma)
 };
 
+/// User `u`'s offload rate a * alpha(x) when it plays threshold x: the
+/// summand of V(gamma) and of the Eq.-(6) map.
+double user_offload_rate(const UserParams& u, double threshold);
+
 /// Computes every user's Lemma-1 threshold at utilization `gamma` and the
 /// resulting aggregate utilization. Requires a valid delay, capacity c > 0,
 /// non-empty population, and 0 <= gamma <= 1.
@@ -41,15 +45,6 @@ BestResponse best_response(std::span<const UserParams> users,
 BestResponse best_response(std::span<const UserParams> users,
                            const EdgeDelay& delay, double capacity,
                            double gamma, parallel::ThreadPool& pool);
-
-/// V(gamma) alone, bit-identical to the pool overload's `utilization` but
-/// without materializing the thresholds: each user's offload rate lands in
-/// `rates` (caller-owned scratch of users.size() slots, so a bisection can
-/// reuse one buffer across steps) and is summed serially in user order.
-double best_response_utilization(std::span<const UserParams> users,
-                                 const EdgeDelay& delay, double capacity,
-                                 double gamma, parallel::ThreadPool& pool,
-                                 std::span<double> rates);
 
 /// Aggregate utilization induced by an arbitrary (not necessarily optimal)
 /// threshold vector: (1/N) * sum a_n * alpha_n(x_n) / c.  This is Algorithm

@@ -37,9 +37,11 @@ struct MfneResult {
 
 /// Finds gamma* with |V(gamma*) crossing| bracketed within
 /// options.tolerance. Requires valid delay, capacity > 0, non-empty users,
-/// and (checked) V(0) < 1.  From 2^16 users up, every V(gamma) sweep runs on
-/// a thread pool scoped to this call (joined before it returns); the result
-/// is bit-identical to the serial bisection for any thread count.
+/// and (checked) V(0) < 1.  Each step re-runs the Lemma-1 oracle only for
+/// users whose threshold differs between the bracket's ends; from 2^16 users
+/// up those calls run on a thread pool scoped to this call (joined before it
+/// returns).  The result is bit-identical to a full-sweep serial bisection
+/// for any thread count.
 MfneResult solve_mfne(std::span<const UserParams> users, const EdgeDelay& delay,
                       double capacity, const MfneOptions& options = {});
 

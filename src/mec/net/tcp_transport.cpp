@@ -12,7 +12,7 @@ namespace pwire = parallel::wire;
 
 TcpTransport::TcpTransport(
     const Config& config,
-    std::span<const std::vector<std::uint8_t>> populations,
+    std::vector<std::vector<std::uint8_t>> populations,
     std::span<const double> initial_thresholds)
     : FramedTransport(config.workers.size(), config.n_devices,
                       "tcp transport", "closed the connection"),
@@ -49,7 +49,7 @@ TcpTransport::TcpTransport(
            "acknowledged rank " + std::to_string(ack.rank) +
                " instead of its assignment");
   }
-  start(populations, initial_thresholds);
+  start(std::move(populations), initial_thresholds);
 }
 
 std::string TcpTransport::describe_peer(std::size_t rank) {

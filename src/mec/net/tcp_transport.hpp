@@ -40,13 +40,14 @@ class TcpTransport final : public parallel::FramedTransport {
     long connect_timeout_ms = -1;
   };
 
-  /// Connects and handshakes every rank, ships populations[r] to rank r,
-  /// waits for every rank's ready frame, then pushes `initial_thresholds`.
+  /// Connects and handshakes every rank, ships populations[r] to rank r
+  /// (freeing each once sent), waits for every rank's ready frame, then
+  /// pushes `initial_thresholds`.
   /// Throws mec::RuntimeError (naming rank + peer address) on any refusal:
   /// unreachable daemon, schema-revision mismatch (both revisions named),
   /// wrong rank echo, or a worker-side build failure.
   TcpTransport(const Config& config,
-               std::span<const std::vector<std::uint8_t>> populations,
+               std::vector<std::vector<std::uint8_t>> populations,
                std::span<const double> initial_thresholds);
 
  private:

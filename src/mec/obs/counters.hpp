@@ -1,11 +1,9 @@
 // Engine-counter catalogue for the streaming telemetry subsystem.
 //
 // Counters are sampled only at observation-grid barriers and only when a
-// stream log is attached, so the event loop itself never pays for them; the
-// few counters that live inside hot structures (the two-gear EventQueue's
-// gear switches and calendar retunes) are incremented on rare, already-cold
-// paths and compile to nothing when the MEC_OBS_COUNTERS CMake option is
-// OFF (see common/instrument.hpp).
+// stream log is attached, so the event loop itself never pays for them, and
+// none is sampled when the MEC_OBS_COUNTERS CMake option is OFF (see
+// common/instrument.hpp).
 //
 // Counter samples are wall-clock diagnostics: unlike window frames they are
 // NOT deterministic across shard counts or machines, and no test compares
@@ -21,9 +19,11 @@ namespace mec::obs {
 enum class Counter : std::uint16_t {
   kShardEvents = 0,        ///< cumulative events executed (per shard)
   kShardQueueDepth = 1,    ///< future events pending at the barrier (per shard)
-  kShardCalendarGear = 2,  ///< 1 when the queue is in calendar gear (per shard)
-  kShardGearSwitches = 3,  ///< cumulative heap<->calendar switches (per shard)
-  kShardCalendarRetunes = 4,  ///< cumulative calendar resizes (per shard)
+  // Ids 2-4 belonged to the retired two-gear event queue: reserved, never
+  // emitted (the names stay so old logs still render).
+  kShardCalendarGear = 2,
+  kShardGearSwitches = 3,
+  kShardCalendarRetunes = 4,
   kShardLegSeconds = 5,    ///< wall seconds of the last inter-barrier leg
   kBarrierWaitSeconds = 6, ///< max-min leg seconds across shards (global)
   kReplayRecords = 7,      ///< gamma-replay records merged this window (global)

@@ -59,9 +59,6 @@ void ShardContext::reset(std::uint32_t lo_device, std::uint32_t hi_device,
   lo = lo_device;
   hi = hi_device;
   queue.clear();
-  // One pending arrival per owned device, at most one in-service departure,
-  // plus headroom for in-flight offload deliveries (fixed-gamma mode).
-  queue.reserve(2 * static_cast<std::size_t>(hi - lo) + 64);
   log.clear();
   local_sojourns = stats::LatencySketch{};
   offload_delays = stats::LatencySketch{};

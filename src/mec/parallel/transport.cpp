@@ -632,12 +632,14 @@ FramedTransport::FramedTransport(std::size_t ranks, std::uint32_t n_devices,
       closed_(std::move(closed)) {}
 
 void FramedTransport::start(
-    std::span<const std::vector<std::uint8_t>> populations,
+    std::vector<std::vector<std::uint8_t>> populations,
     std::span<const double> initial_thresholds) {
   MEC_EXPECTS(populations.size() == peers_.size());
   const double t_setup = -1.0;  // no barrier yet
-  for (std::size_t r = 0; r < peers_.size(); ++r)
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
     send_frame(r, t_setup, wire::kFramePopulation, populations[r]);
+    std::vector<std::uint8_t>().swap(populations[r]);  // sent: free it now
+  }
   for (std::size_t r = 0; r < peers_.size(); ++r) {
     obs::wire::ByteReader ready(
         read_frame(r, t_setup, wire::kFrameReady).payload);
@@ -794,7 +796,7 @@ std::optional<int> ChildProcess::reap(bool kill, long grace_ms) noexcept {
 
 ProcessTransport::ProcessTransport(
     std::uint32_t n_devices,
-    std::span<const std::vector<std::uint8_t>> populations,
+    std::vector<std::vector<std::uint8_t>> populations,
     std::span<const double> initial_thresholds)
     : FramedTransport(populations.size(), n_devices, "transport",
                       "exited unexpectedly") {
@@ -818,6 +820,9 @@ ProcessTransport::ProcessTransport(
       // this rank's siblings — is torn down twice.
       ours.reset();
       for (std::size_t q = 0; q < r; ++q) peers_[q].fd.reset();
+      // Every rank's payload was inherited; this rank reads its own from
+      // the channel like any other, so all of them are freed up front.
+      std::vector<std::vector<std::uint8_t>>().swap(populations);
       int status = 1;
       try {
         net::serve_rank(theirs.get(), static_cast<std::uint32_t>(r),
@@ -836,7 +841,7 @@ ProcessTransport::ProcessTransport(
     children_.emplace_back(pid);
     peers_[r].fd = std::move(ours);
   }
-  start(populations, initial_thresholds);
+  start(std::move(populations), initial_thresholds);
 }
 
 std::string ProcessTransport::describe_peer(std::size_t rank) {

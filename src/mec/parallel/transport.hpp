@@ -83,6 +83,8 @@ struct ShardBarrierView {
   // Queue diagnostics; populated only under want_queue_stats.
   bool has_queue_stats = false;
   double queue_depth = 0.0;
+  // Slots of the retired two-gear queue: always 0, kept so the wire layout
+  // holds until the next schema revision drops them.
   double calendar_gear = 0.0;
   double gear_switches = 0.0;
   double calendar_retunes = 0.0;
@@ -446,11 +448,11 @@ class FramedTransport : public Transport {
     std::uint32_t pending = 0;
   };
 
-  /// Rank start-up over connected fds: ships populations[r] to rank r,
-  /// waits for every rank's ready frame (its slice is built), then pushes
-  /// `initial_thresholds`.  A rank that fails to build its slice fails the
-  /// run with its own error text.
-  void start(std::span<const std::vector<std::uint8_t>> populations,
+  /// Rank start-up over connected fds: ships populations[r] to rank r and
+  /// frees it once sent, waits for every rank's ready frame (its slice is
+  /// built), then pushes `initial_thresholds`.  A rank that fails to build
+  /// its slice fails the run with its own error text.
+  void start(std::vector<std::vector<std::uint8_t>> populations,
              std::span<const double> initial_thresholds);
   /// Writes one frame to `rank`.  A broken pipe fails the run via fail(),
   /// with the error frame the rank left behind when there is one.
@@ -513,17 +515,17 @@ class ChildProcess {
 };
 
 /// Coordinator side of the multi-process backend: forks one rank per
-/// population payload over a socketpair; each child runs net::serve_rank,
-/// the rank entry of a `mec worker` daemon, on its end.  A failure message
-/// names the rank's wait status ("exit status 17"); a stalled rank is
-/// SIGKILLed and reaped.
+/// population payload over a socketpair; each child frees the payloads it
+/// inherited and runs net::serve_rank, the rank entry of a `mec worker`
+/// daemon, on its end.  A failure message names the rank's wait status
+/// ("exit status 17"); a stalled rank is SIGKILLed and reaped.
 class ProcessTransport final : public FramedTransport {
  public:
   /// Forks the ranks, then start()s them.  Throws mec::RuntimeError when a
   /// socketpair or fork fails, after killing and reaping the ranks already
   /// forked, or when a rank fails to build its slice.
   ProcessTransport(std::uint32_t n_devices,
-                   std::span<const std::vector<std::uint8_t>> populations,
+                   std::vector<std::vector<std::uint8_t>> populations,
                    std::span<const double> initial_thresholds);
 
  private:

@@ -266,10 +266,6 @@ SimulationResult coordinator_run(const CoordinatorContext& cc,
             add(obs::Counter::kShardEvents, sid,
                 static_cast<double>(v.events));
             add(obs::Counter::kShardQueueDepth, sid, v.queue_depth);
-            add(obs::Counter::kShardCalendarGear, sid, v.calendar_gear);
-            add(obs::Counter::kShardGearSwitches, sid, v.gear_switches);
-            add(obs::Counter::kShardCalendarRetunes, sid,
-                v.calendar_retunes);
             add(obs::Counter::kShardLegSeconds, sid, v.leg_seconds);
             leg_min = std::min(leg_min, v.leg_seconds);
             leg_max = std::max(leg_max, v.leg_seconds);

@@ -1,353 +1,108 @@
 #include "mec/sim/des.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "mec/common/error.hpp"
-#include "mec/common/instrument.hpp"
-#include "mec/common/prefetch.hpp"
 
 namespace mec::sim {
 
 namespace {
 
-/// Heap gear below this many stored events; calendar gear above.  At the
-/// threshold the whole heap is ~256 KiB (L2-resident), so the switch
-/// happens before heap pops start paying DRAM-latency sift chains.
-constexpr std::size_t kSwitchThreshold = 16384;
-/// Hysteresis: drop back to the plain heap only below half the threshold.
-constexpr std::size_t kExitThreshold = kSwitchThreshold / 2;
-/// The ring covers this many multiples of the mean residual event time.
-/// Density concentrates near the consumption point (residuals are roughly
-/// exponential), so tuning the width from the *mean residual* rather than
-/// the full span keeps front buckets small; only the ~e^-8 tail of events
-/// beyond the ring lands in the overflow tier.
-constexpr double kRingSpanResiduals = 8.0;
-/// Ring sizing target: at least this many events per bucket on average,
-/// i.e. ring size ~ stored / kMinOccupancy, clamped to the bounds below.
-constexpr std::size_t kMinOccupancy = 8;
-/// Ring size bounds (power of two).  The cap trades bucket count for
-/// occupancy: at 2e6 stored events front-bucket occupancy grows to ~250,
-/// still a cheap sort.
-constexpr std::size_t kMinBuckets = 1024;
-constexpr std::size_t kMaxBuckets = 65536;
-/// Sift-down prefetch pays off only once the heap outgrows L1.
-constexpr std::size_t kPrefetchMinHeap = 2048;
+/// Heap order for the side heap: std::push_heap keeps the *largest* on
+/// top, so "less" here means later in (time, seq).
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.bits != b.bits ? a.bits > b.bits : a.key > b.key;
+};
+
+unsigned bucket_of(std::uint64_t bits, std::uint64_t last) noexcept {
+  return 64u - static_cast<unsigned>(std::countl_zero(bits ^ last));
+}
 
 }  // namespace
 
-void EventQueue::reserve(std::size_t capacity) {
-  side_.reserve(std::min(capacity, 2 * kSwitchThreshold));
-}
-
 void EventQueue::clear() noexcept {
+  for (std::vector<Node>& b : buckets_) b.clear();
+  occupied_ = 0;
+  cursor_ = 0;
+  last_ = 0;
   side_.clear();
-  window_.clear();
-  window_pos_ = 0;
-  if (ring_count_ > 0)
-    for (std::vector<Node>& b : buckets_) b.clear();
-  ring_count_ = 0;
-  overflow_.clear();
-  overflow_min_bucket_ = ~std::uint64_t{0};
-  calendar_ = false;
-  base_ = 0;
-  tuned_size_ = 0;
-  switch_check_ = 0;
+  last_popped_ = 0.0;
   size_ = 0;
   next_seq_ = 0;
-  gear_switches_ = 0;
-  retunes_ = 0;
 }
-
-// --- side heap -------------------------------------------------------------
-
-void EventQueue::side_push(const Node& nd) {
-  // Sift the hole up from the back; the new node is written exactly once.
-  std::size_t i = side_.size();
-  side_.push_back(nd);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(nd, side_[parent])) break;
-    side_[i] = side_[parent];
-    i = parent;
-  }
-  side_[i] = nd;
-}
-
-void EventQueue::side_sift_down(std::size_t i, const Node& nd) {
-  const std::size_t n = side_.size();
-  const bool deep = n > kPrefetchMinHeap;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    if (deep) {
-      // The 16 grandchildren are contiguous; pull their four cache lines
-      // one level ahead so the next iteration's loads overlap the compares.
-      const std::size_t g = 4 * first + 1;
-      if (g < n) {
-        MEC_PREFETCH(side_.data() + g);
-        MEC_PREFETCH(side_.data() + g + 4);
-        MEC_PREFETCH(side_.data() + g + 8);
-        MEC_PREFETCH(side_.data() + g + 12);
-      }
-    }
-    std::size_t best = first;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < end; ++c)
-      if (earlier(side_[c], side_[best])) best = c;
-    if (!earlier(side_[best], nd)) break;
-    side_[i] = side_[best];
-    i = best;
-  }
-  side_[i] = nd;
-}
-
-void EventQueue::side_pop_root() {
-  const Node last = side_.back();
-  side_.pop_back();
-  if (!side_.empty()) side_sift_down(0, last);
-}
-
-void EventQueue::side_build() {
-  const std::size_t n = side_.size();
-  if (n < 2) return;
-  for (std::size_t i = (n - 2) / 4 + 1; i-- > 0;) {
-    const Node nd = side_[i];
-    side_sift_down(i, nd);
-  }
-}
-
-const EventQueue::Node& EventQueue::front() const noexcept {
-  // The side heap is almost always empty in calendar gear (only delays
-  // shorter than one bucket width land there), so this compare is
-  // predictable and the common path is a single indexed load.
-  if (!side_.empty() && (window_pos_ >= window_.size() ||
-                         earlier(side_[0], window_[window_pos_])))
-    return side_[0];
-  return window_[window_pos_];
-}
-
-// --- calendar gear ---------------------------------------------------------
-
-std::uint64_t EventQueue::bucket_of(double t) const noexcept {
-  const double d = t * inv_width_;
-  // Saturate instead of overflowing the cast; saturated indices land in the
-  // overflow tier and are drained through the sorted window, which orders
-  // them.
-  return d < 9.0e18 ? static_cast<std::uint64_t>(d)
-                    : static_cast<std::uint64_t>(9.0e18);
-}
-
-void EventQueue::gather_all() {
-  scratch_.clear();
-  scratch_.reserve(size_);
-  scratch_.insert(scratch_.end(), side_.begin(), side_.end());
-  side_.clear();
-  scratch_.insert(scratch_.end(), window_.begin() + window_pos_,
-                  window_.end());
-  window_.clear();
-  window_pos_ = 0;
-  if (ring_count_ > 0)
-    for (std::vector<Node>& b : buckets_) {
-      scratch_.insert(scratch_.end(), b.begin(), b.end());
-      b.clear();
-    }
-  ring_count_ = 0;
-  scratch_.insert(scratch_.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-  overflow_min_bucket_ = ~std::uint64_t{0};
-}
-
-void EventQueue::try_enter_calendar() {
-  gather_all();
-  rebuild(size_);
-}
-
-void EventQueue::rebuild(std::size_t target_size) {
-  // scratch_ holds every stored node (see gather_all); retune the bucket
-  // width from the observed time span, rebin everything, and re-establish
-  // the window invariant.
-#ifdef MEC_OBS_COUNTERS
-  const bool was_calendar = calendar_;
-#endif
-  double tmin = scratch_.front().time;
-  double tmax = tmin;
-  double tsum = 0.0;
-  for (const Node& nd : scratch_) {
-    tmin = std::min(tmin, nd.time);
-    tmax = std::max(tmax, nd.time);
-    tsum += nd.time;
-  }
-  const double mean_residual =
-      tsum / static_cast<double>(scratch_.size()) - tmin;
-  if (!(mean_residual > 0.0) || !(mean_residual > tmax * 1e-13)) {
-    // Degenerate spread (all events effectively simultaneous): a calendar
-    // cannot separate them, so stay a plain heap and defer the next try.
-    side_.swap(scratch_);
-    scratch_.clear();
-    side_build();
-    calendar_ = false;
-    switch_check_ = 2 * size_;
-    return;
-  }
-
-  std::size_t nb = kMinBuckets;
-  while (nb < target_size / kMinOccupancy && nb < kMaxBuckets) nb <<= 1;
-  width_ = kRingSpanResiduals * mean_residual / static_cast<double>(nb);
-  inv_width_ = 1.0 / width_;
-  if (buckets_.size() != nb) buckets_.resize(nb);
-  bucket_mask_ = nb - 1;
-  base_ = bucket_of(tmin);
-  MEC_OBS_COUNT(was_calendar ? ++retunes_ : ++gear_switches_);
-  calendar_ = true;
-  tuned_size_ = target_size;
-  switch_check_ = 0;
-
-  for (const Node& nd : scratch_) {
-    const std::uint64_t idx = bucket_of(nd.time);
-    if (idx - base_ < nb) {
-      buckets_[idx & bucket_mask_].push_back(nd);
-      ++ring_count_;
-    } else {
-      overflow_.push_back(nd);
-      overflow_min_bucket_ = std::min(overflow_min_bucket_, idx);
-    }
-  }
-  scratch_.clear();
-  advance();
-}
-
-void EventQueue::exit_calendar() {
-  MEC_OBS_COUNT(++gear_switches_);
-  gather_all();
-  side_.swap(scratch_);
-  scratch_.clear();
-  side_build();
-  calendar_ = false;
-  switch_check_ = 0;
-}
-
-void EventQueue::migrate_overflow() {
-  // Move every overflow node the ring can now reach into its bucket.
-  const std::uint64_t limit = base_ + buckets_.size();
-  std::uint64_t new_min = ~std::uint64_t{0};
-  std::size_t keep = 0;
-  for (const Node& nd : overflow_) {
-    const std::uint64_t idx = bucket_of(nd.time);
-    if (idx < limit) {
-      buckets_[idx & bucket_mask_].push_back(nd);
-      ++ring_count_;
-    } else {
-      overflow_[keep++] = nd;
-      new_min = std::min(new_min, idx);
-    }
-  }
-  overflow_.resize(keep);
-  overflow_min_bucket_ = new_min;
-}
-
-void EventQueue::advance() {
-  MEC_ASSERT(ring_count_ + overflow_.size() > 0);
-  for (;;) {
-    if (ring_count_ == 0) {
-      // Everything pending beyond the window is in overflow: jump the ring
-      // to the earliest overflow bucket instead of walking to it.
-      base_ = overflow_min_bucket_;
-      migrate_overflow();
-      continue;
-    }
-    // Before consuming bucket base_, pull in any overflow nodes that belong
-    // to it (their bucket index has entered the ring's reach).
-    if (overflow_min_bucket_ <= base_) migrate_overflow();
-    std::vector<Node>& b = buckets_[base_ & bucket_mask_];
-    ++base_;
-    if (!b.empty()) {
-      // Swap the bucket in (capacities circulate between the ring and the
-      // window, so steady state stays allocation-free) and sort it once;
-      // consumption is then a pointer bump per pop.
-      ring_count_ -= b.size();
-      window_.swap(b);
-      b.clear();
-      window_pos_ = 0;
-      std::sort(window_.begin(), window_.end(),
-                [](const Node& x, const Node& y) { return earlier(x, y); });
-      return;
-    }
-  }
-}
-
-// --- public interface ------------------------------------------------------
 
 void EventQueue::push(double time, EventKind kind, std::uint32_t device) {
   MEC_EXPECTS(std::isfinite(time));
-  MEC_EXPECTS(time >= 0.0);
-  MEC_EXPECTS(device < (1u << kDeviceBits));
-  const Node nd{time, (next_seq_++ << kSeqShift) |
-                          (static_cast<std::uint64_t>(device) << kKindBits) |
-                          static_cast<std::uint64_t>(kind)};
+  MEC_EXPECTS(time >= last_popped_);
+  MEC_EXPECTS(device < kMaxDevices);
+  // Adding +0.0 turns -0.0 into +0.0, whose bit pattern orders correctly.
+  const Node nd{std::bit_cast<std::uint64_t>(time + 0.0),
+                (next_seq_++ << kSeqShift) |
+                    (static_cast<std::uint64_t>(device) << kKindBits) |
+                    static_cast<std::uint64_t>(kind)};
   ++size_;
-  if (!calendar_) {
-    side_push(nd);
-    if (size_ >= kSwitchThreshold && size_ >= switch_check_)
-      try_enter_calendar();
+  if (nd.bits < last_) {
+    // Only after a peek refilled bucket 0 past the current event's time.
+    side_.push_back(nd);
+    std::push_heap(side_.begin(), side_.end(), kLater);
     return;
   }
-  const std::uint64_t idx = bucket_of(time);
-  if (idx < base_) {
-    side_push(nd);  // inside the current window
-  } else if (idx - base_ < buckets_.size()) {
-    buckets_[idx & bucket_mask_].push_back(nd);
-    ++ring_count_;
-    if (side_.empty() && window_pos_ >= window_.size()) advance();
-  } else {
-    overflow_.push_back(nd);
-    overflow_min_bucket_ = std::min(overflow_min_bucket_, idx);
-    if (side_.empty() && window_pos_ >= window_.size()) advance();
-  }
-  if (size_ >= 4 * tuned_size_) {
-    gather_all();
-    rebuild(size_);
-  }
+  const unsigned b = bucket_of(nd.bits, last_);
+  buckets_[b].push_back(nd);
+  occupied_ |= std::uint64_t{1} << b;
 }
 
-double EventQueue::next_time() const {
-  MEC_EXPECTS(size_ > 0);
-  return front().time;
+void EventQueue::refill() {
+  // Bucket 0 is spent and the side heap empty: the lowest non-empty bucket
+  // holds the minimum.  Every bucket below it is empty, so redistributing
+  // it in order keeps each bucket in push order.
+  buckets_[0].clear();
+  cursor_ = 0;
+  const int from = std::countr_zero(occupied_ & ~std::uint64_t{1});
+  occupied_ &= ~((std::uint64_t{1} << from) | 1);
+  std::vector<Node>& src = buckets_[from];
+  std::uint64_t lo = src.front().bits;
+  for (const Node& nd : src) lo = std::min(lo, nd.bits);
+  last_ = lo;
+  for (const Node& nd : src) {
+    const unsigned b = bucket_of(nd.bits, lo);
+    buckets_[b].push_back(nd);
+    occupied_ |= std::uint64_t{1} << b;
+  }
+  src.clear();
 }
 
-std::uint32_t EventQueue::next_device() const {
+const EventQueue::Node& EventQueue::front() {
   MEC_EXPECTS(size_ > 0);
+  if (!side_.empty()) return side_.front();
+  if (cursor_ == buckets_[0].size()) refill();
+  return buckets_[0][cursor_];
+}
+
+double EventQueue::next_time() {
+  return std::bit_cast<double>(front().bits);
+}
+
+std::uint32_t EventQueue::next_device() {
   return static_cast<std::uint32_t>((front().key >> kKindBits) &
-                                    ((1u << kDeviceBits) - 1));
+                                    (kMaxDevices - 1));
 }
 
 Event EventQueue::pop() {
-  MEC_EXPECTS(size_ > 0);
-  Node top;
-  const bool window_has = window_pos_ < window_.size();
-  if (!side_.empty() &&
-      (!window_has || earlier(side_[0], window_[window_pos_]))) {
-    top = side_[0];
-    side_pop_root();
+  const Node top = front();
+  if (side_.empty()) {
+    ++cursor_;
   } else {
-    top = window_[window_pos_++];
+    std::pop_heap(side_.begin(), side_.end(), kLater);
+    side_.pop_back();
   }
   --size_;
-  if (calendar_) {
-    if (side_.empty() && window_pos_ >= window_.size() && size_ > 0)
-      advance();
-    if (size_ * 4 <= tuned_size_) {
-      if (size_ <= kExitThreshold) {
-        exit_calendar();
-      } else {
-        gather_all();
-        rebuild(size_);
-      }
-    }
-  }
-  return Event{top.time, top.key >> kSeqShift,
+  last_popped_ = std::bit_cast<double>(top.bits);
+  return Event{last_popped_, top.key >> kSeqShift,
                static_cast<std::uint32_t>((top.key >> kKindBits) &
-                                          ((1u << kDeviceBits) - 1)),
+                                          (kMaxDevices - 1)),
                static_cast<EventKind>(top.key & ((1u << kKindBits) - 1))};
 }
 

@@ -166,34 +166,40 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
     // rank_shard_range(K, ranks, r) and gets only its users.  No RNG words
     // are shipped: a rank derives its slice's streams from (seed,
     // device_lo) with split_streams and re-runs init_shard, reproducing the
-    // in-process draws bit for bit.
-    net::wire::WorkerPopulation pop;
-    pop.ranks = static_cast<std::uint32_t>(ranks);
-    pop.seed = options.seed;
-    pop.n_devices = n_devices;
-    pop.n_initial = n_initial;
-    pop.n_clusters = n_clusters;
-    pop.shard_count = static_cast<std::uint32_t>(shard_count);
-    pop.warmup = options.warmup;
-    pop.t_end = t_end;
-    pop.has_fixed_gamma = has_fixed_gamma;
-    pop.fixed_delay = fixed_delay;
-    pop.with_faults = WithFaults;
-    pop.service = options.service;
-    pop.latency = options.latency;
-    pop.actions = plan.actions;
+    // in-process draws bit for bit.  The staging slice is scoped out before
+    // the ranks fork, and the payloads move into the transport, which frees
+    // each once sent.
     std::vector<std::vector<std::uint8_t>> payloads;
-    for (std::size_t r = 0; r < ranks; ++r) {
-      pop.rank = static_cast<std::uint32_t>(r);
-      const auto [shard_lo, shard_hi] =
-          parallel::rank_shard_range(shard_count, ranks, r);
-      pop.shard_lo = static_cast<std::uint32_t>(shard_lo);
-      pop.shard_hi = static_cast<std::uint32_t>(shard_hi);
-      pop.device_lo = parallel::shard_bound(n_devices, shard_count, shard_lo);
-      pop.device_hi = parallel::shard_bound(n_devices, shard_count, shard_hi);
-      pop.users.assign(users.begin() + pop.device_lo,
-                       users.begin() + pop.device_hi);
-      payloads.push_back(net::wire::encode_population(pop));
+    {
+      net::wire::WorkerPopulation pop;
+      pop.ranks = static_cast<std::uint32_t>(ranks);
+      pop.seed = options.seed;
+      pop.n_devices = n_devices;
+      pop.n_initial = n_initial;
+      pop.n_clusters = n_clusters;
+      pop.shard_count = static_cast<std::uint32_t>(shard_count);
+      pop.warmup = options.warmup;
+      pop.t_end = t_end;
+      pop.has_fixed_gamma = has_fixed_gamma;
+      pop.fixed_delay = fixed_delay;
+      pop.with_faults = WithFaults;
+      pop.service = options.service;
+      pop.latency = options.latency;
+      pop.actions = plan.actions;
+      for (std::size_t r = 0; r < ranks; ++r) {
+        pop.rank = static_cast<std::uint32_t>(r);
+        const auto [shard_lo, shard_hi] =
+            parallel::rank_shard_range(shard_count, ranks, r);
+        pop.shard_lo = static_cast<std::uint32_t>(shard_lo);
+        pop.shard_hi = static_cast<std::uint32_t>(shard_hi);
+        pop.device_lo =
+            parallel::shard_bound(n_devices, shard_count, shard_lo);
+        pop.device_hi =
+            parallel::shard_bound(n_devices, shard_count, shard_hi);
+        pop.users.assign(users.begin() + pop.device_lo,
+                         users.begin() + pop.device_hi);
+        payloads.push_back(net::wire::encode_population(pop));
+      }
     }
     std::unique_ptr<parallel::Transport> transport;
     if (tcp) {
@@ -201,13 +207,14 @@ SimulationResult run_sharded(const std::vector<core::UserParams>& users,
       cfg.workers = std::move(addresses);
       cfg.shard_count = shard_count;
       cfg.n_devices = n_devices;
-      transport = std::make_unique<net::TcpTransport>(cfg, payloads, mirror);
+      transport = std::make_unique<net::TcpTransport>(
+          cfg, std::move(payloads), mirror);
     } else {
       // No pool thread may be live across fork(); the coordinator's replay
       // pool is rebuilt below, once the ranks are forked.
       ws.pool.reset();
       transport = std::make_unique<parallel::ProcessTransport>(
-          n_devices, payloads, mirror);
+          n_devices, std::move(payloads), mirror);
     }
     cc.replay_pool = workspace_pool(ws, shard_count);
     return coordinator_run(cc, *transport);

@@ -388,9 +388,6 @@ class LegRunner final : public parallel::RankWorker {
       if (req.want_queue_stats) {
         v.has_queue_stats = true;
         v.queue_depth = static_cast<double>(sc.queue.size());
-        v.calendar_gear = sc.queue.calendar_gear() ? 1.0 : 0.0;
-        v.gear_switches = static_cast<double>(sc.queue.gear_switches());
-        v.calendar_retunes = static_cast<double>(sc.queue.calendar_retunes());
         v.leg_seconds = leg_seconds_[s - shard_lo_];
       }
       views_.push_back(v);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -11,6 +13,7 @@
 #include "mec/common/error.hpp"
 #include "mec/core/best_response.hpp"
 #include "mec/core/cost_model.hpp"
+#include "mec/core/threshold_oracle.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/sim/mec_simulation.hpp"
@@ -221,6 +224,160 @@ TEST(Mfne, ParallelBisectionIsBitIdenticalToTheSerialReference) {
   EXPECT_EQ(parallel.iterations, serial.iterations);
   EXPECT_EQ(parallel.thresholds, serial.thresholds);
   EXPECT_TRUE(parallel.converged);
+}
+
+/// The plain Theorem-1 bisection with a full best-response sweep at every
+/// step, written against the serial best_response overload only: the
+/// reference the settled-user solver must reproduce bit for bit, including
+/// the degenerate V(0) = 0 exit and the iteration guard.
+MfneResult full_sweep_mfne(std::span<const UserParams> users,
+                           const EdgeDelay& delay, double capacity,
+                           const MfneOptions& opt) {
+  MfneResult r;
+  if (best_response(users, delay, capacity, 0.0).utilization == 0.0) {
+    r.thresholds = best_response(users, delay, capacity, 0.0).thresholds;
+    r.converged = true;
+    return r;
+  }
+  double lo = 0.0, hi = 1.0;
+  int iters = 0;
+  while (hi - lo > opt.tolerance && iters < opt.max_iterations) {
+    const double mid = 0.5 * (lo + hi);
+    if (best_response(users, delay, capacity, mid).utilization > mid)
+      lo = mid;
+    else
+      hi = mid;
+    ++iters;
+  }
+  r.gamma_star = 0.5 * (lo + hi);
+  BestResponse br = best_response(users, delay, capacity, r.gamma_star);
+  r.best_response_value = br.utilization;
+  r.thresholds = std::move(br.thresholds);
+  r.iterations = iters;
+  r.converged = hi - lo <= opt.tolerance;
+  return r;
+}
+
+void expect_bit_identical(const MfneResult& got, const MfneResult& want) {
+  EXPECT_EQ(got.gamma_star, want.gamma_star);
+  EXPECT_EQ(got.best_response_value, want.best_response_value);
+  EXPECT_EQ(got.thresholds, want.thresholds);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+/// Every EdgeDelay factory, with parameters that keep V(0) < 1 at c = 10.
+std::vector<EdgeDelay> every_delay_shape() {
+  return {make_reciprocal_delay(),        make_reciprocal_delay(1.01),
+          make_linear_delay(0.2, 3.0),    make_power_delay(8.0, 0.5),
+          make_power_delay(4.0, 3.0),     make_constant_delay(1.5),
+          make_erlang_c_delay(4, 2.0),    make_erlang_c_delay(1, 5.0, 0.9)};
+}
+
+TEST(Mfne, BestThresholdIsNonDecreasingInGammaInFloatingPoint) {
+  // The settled-user bisection relies on it: a user whose threshold agrees
+  // at both ends of the bracket keeps it inside.  Checked on a coarse grid
+  // over [0, 1] and on runs of consecutive doubles, where rounding in g
+  // would show.
+  std::vector<UserParams> users;
+  for (const auto regime :
+       {population::LoadRegime::kBelowService,
+        population::LoadRegime::kAtService,
+        population::LoadRegime::kAboveService}) {
+    const auto drawn = sampled(regime, 40, 31);
+    users.insert(users.end(), drawn.begin(), drawn.end());
+  }
+  std::vector<double> gammas;
+  for (int i = 0; i <= 512; ++i) gammas.push_back(i / 512.0);
+  for (const double start : {0.0, 0.13, 0.21, 0.2857, 0.5, 0.9}) {
+    double gamma = start;
+    for (int k = 0; k < 300; ++k, gamma = std::nextafter(gamma, 1.0))
+      gammas.push_back(gamma);
+  }
+  std::sort(gammas.begin(), gammas.end());
+  for (const EdgeDelay& delay : every_delay_shape()) {
+    for (const UserParams& u : users) {
+      std::int64_t prev = best_threshold(u, delay(gammas.front()));
+      for (const double gamma : gammas) {
+        const std::int64_t x = best_threshold(u, delay(gamma));
+        ASSERT_GE(x, prev) << delay.description() << " gamma=" << gamma;
+        prev = x;
+      }
+    }
+  }
+}
+
+TEST(Mfne, SettledUserBisectionIsBitIdenticalToAFullSweepBisection) {
+  MfneOptions capped;  // the iteration guard ends this one
+  capped.tolerance = 1e-30;
+  capped.max_iterations = 40;
+  MfneOptions coarse;
+  coarse.tolerance = 1e-3;
+  MfneOptions none;  // no step at all: gamma* is the first midpoint
+  none.max_iterations = 0;
+  for (const MfneOptions& opt : {MfneOptions{}, capped, coarse, none}) {
+    for (const EdgeDelay& delay : every_delay_shape()) {
+      for (const auto regime : {population::LoadRegime::kBelowService,
+                                population::LoadRegime::kAboveService}) {
+        const auto users = sampled(regime, 600, 41);
+        SCOPED_TRACE(delay.description());
+        expect_bit_identical(solve_mfne(users, delay, 10.0, opt),
+                             full_sweep_mfne(users, delay, 10.0, opt));
+      }
+    }
+  }
+}
+
+TEST(Mfne, PooledSettledUserBisectionIsBitIdenticalToAFullSweepBisection) {
+  const auto users =
+      sampled(population::LoadRegime::kAboveService, kAboveParallelFloor, 23);
+  MfneOptions capped;
+  capped.tolerance = 1e-30;
+  capped.max_iterations = 40;
+  for (const MfneOptions& opt : {MfneOptions{}, capped}) {
+    for (const EdgeDelay& delay :
+         {make_linear_delay(0.2, 3.0), make_erlang_c_delay(4, 2.0)}) {
+      SCOPED_TRACE(delay.description());
+      expect_bit_identical(solve_mfne(users, delay, 10.0, opt),
+                           full_sweep_mfne(users, delay, 10.0, opt));
+    }
+  }
+}
+
+TEST(Mfne, NonMonotoneDelayReopensSettledUsersAndStaysBitIdentical) {
+  // EdgeDelay only spot-checks monotonicity at gamma = i/10; this g passes
+  // that check but dips between the grid points, so some midpoints land
+  // outside [g(lo), g(hi)] and every user must be re-run there.
+  const EdgeDelay wavy(
+      [](double gamma) {
+        const double s = std::sin(20.0 * 3.141592653589793 * gamma);
+        return 1.0 + 2.0 * gamma + 0.3 * s * s;
+      },
+      "wavy");
+  const auto users = sampled(population::LoadRegime::kAtService, 600, 43);
+  expect_bit_identical(solve_mfne(users, wavy, 10.0),
+                       full_sweep_mfne(users, wavy, 10.0, {}));
+}
+
+TEST(Mfne, ZeroUtilizationAtZeroDelayMatchesTheFullSweepOnBothPaths) {
+  // Offloading is so dominated that every rate underflows (theta = 0.01,
+  // threshold ~200): V(0) == 0 and the solver returns gamma* = 0 without a
+  // single step.
+  for (const std::size_t n : {std::size_t{50}, kAboveParallelFloor}) {
+    std::vector<UserParams> users(n);
+    for (auto& u : users) {
+      u.arrival_rate = 0.05;
+      u.service_rate = 5.0;
+      u.offload_latency = 40.0;
+      u.energy_local = 0.0;
+      u.energy_offload = 1.0;
+    }
+    const EdgeDelay delay = make_constant_delay(0.0);
+    const MfneResult r = solve_mfne(users, delay, 10.0);
+    EXPECT_EQ(r.gamma_star, 0.0);
+    EXPECT_EQ(r.iterations, 0);
+    expect_bit_identical(r, full_sweep_mfne(users, delay, 10.0, {}));
+  }
 }
 
 TEST(Mfne, ProcessTransportRightAfterAParallelSolveMatchesInProcess) {

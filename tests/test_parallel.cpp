@@ -352,26 +352,6 @@ TEST(ParallelBestResponse, BitIdenticalToSerialAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelBestResponse, UtilizationOnlySweepIsBitIdenticalToSerial) {
-  // The MFNE bisection's per-step evaluator: no thresholds, one reused
-  // rate buffer, and still the serial overload's exact bits.
-  const auto cfg = population::theoretical_scenario(
-      population::LoadRegime::kAtService, 3000);
-  const auto pop = population::sample_population(cfg, 17);
-  std::vector<double> rates(pop.size());
-  for (const std::size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    for (const double gamma : {0.0, 0.21, 0.9}) {
-      EXPECT_EQ(core::best_response_utilization(pop.users, cfg.delay,
-                                                cfg.capacity, gamma, pool,
-                                                rates),
-                core::best_response(pop.users, cfg.delay, cfg.capacity, gamma)
-                    .utilization)
-          << "gamma=" << gamma << " threads=" << threads;
-    }
-  }
-}
-
 TEST(ParallelUtilizationOfThresholds, BitIdenticalToSerial) {
   const auto cfg = population::theoretical_scenario(
       population::LoadRegime::kAboveService, 2000);
