@@ -78,18 +78,20 @@ int run(mec::bench::Context& ctx) {
   const std::vector<double> xs(mfne.thresholds.begin(),
                                mfne.thresholds.end());
 
-  sim::ClusterTopology topology;
-  topology.clusters = clusters;
+  // One run block handed to every arm; each arm adds only its own
+  // controller settings.
+  sim::RunOptions run;
+  run.horizon = horizon;
+  run.seed = seed;
+  run.shards = shards;
+  run.topology.clusters = clusters;
 
   std::vector<Arm> arms;
 
   {
     sim::SimulationOptions so;
+    static_cast<sim::RunOptions&>(so) = run;
     so.warmup = warmup;
-    so.horizon = horizon;
-    so.seed = seed;
-    so.shards = shards;
-    so.topology = topology;
     const sim::MecSimulation sim(pop.users, cfg.capacity, cfg.delay, so);
     const sim::SimulationResult r = sim.run_tro(xs);
     arms.push_back({"tro", r.mean_cost, r.measured_utilization,
@@ -98,11 +100,8 @@ int run(mec::bench::Context& ctx) {
   }
   {
     sim::ClosedLoopOptions co;
+    static_cast<sim::RunOptions&>(co) = run;
     co.update_period = update_period;
-    co.horizon = horizon;
-    co.seed = seed;
-    co.shards = shards;
-    co.topology = topology;
     const sim::ClosedLoopResult r =
         sim::run_closed_loop(pop.users, cfg.capacity, cfg.delay, co);
     arms.push_back({"dtu", r.run.mean_cost, r.run.measured_utilization,
@@ -112,14 +111,10 @@ int run(mec::bench::Context& ctx) {
   }
   {
     sim::PriceBasedOptions po;
+    static_cast<sim::RunOptions&>(po) = run;
     po.gamma_target = mfne.gamma_star;
     po.update_period = update_period;
     po.warmup = warmup;
-    po.horizon = horizon;
-    po.seed = seed;
-    po.topology = topology;
-    po.shards = shards;
-    po.record_timeline = false;
     const sim::PriceBasedResult r =
         sim::run_price_based(pop.users, cfg.capacity, cfg.delay, po);
     std::string note = "final prices:";
@@ -131,15 +126,11 @@ int run(mec::bench::Context& ctx) {
   }
   {
     sim::MinorityGameRunOptions mo;
+    static_cast<sim::RunOptions&>(mo) = run;
     mo.game.seed = seed;
     mo.thresholds = xs;
     mo.update_period = update_period;
     mo.warmup = warmup;
-    mo.horizon = horizon;
-    mo.seed = seed;
-    mo.topology = topology;
-    mo.shards = shards;
-    mo.record_timeline = false;
     const sim::MinorityGameRunResult r =
         sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
     arms.push_back({"minority", r.run.mean_cost, r.run.measured_utilization,

@@ -454,57 +454,45 @@ void run_cell(const SweepSpec& spec, const SweepCell& cell,
       }
   }
 
+  // One run block per cell, handed whole to every policy branch.
+  sim::RunOptions run;
+  run.horizon = spec.horizon;
+  run.seed = cell.seed;
+  run.sample_interval = spec.window;
+  run.shards = cell.shard_count;  // explicit: never MEC_SHARDS or autotune
+  run.stream_log = cell.path;
+  // Counter frames carry wall-clock diagnostics; leaving them out keeps a
+  // cell's .meclog byte-identical across reruns and shard counts.
+  run.stream_counters = false;
+  run.record_timeline = false;
+  run.faults = faults;
+  run.topology = topology;
+
   if (policy.token.kind == PolicyKind::kPrice) {
     sim::PriceBasedOptions po;
+    static_cast<sim::RunOptions&>(po) = run;
     po.gamma_target = policy.gamma_star;
     po.update_period = spec.window;  // epochs ride the sample barriers
     po.warmup = spec.warmup;
-    po.horizon = spec.horizon;
-    po.seed = cell.seed;
-    po.topology = topology;
-    po.faults = faults;
-    po.shards = cell.shard_count;
-    po.sample_interval = spec.window;
-    po.stream_log = cell.path;
-    po.stream_counters = false;
-    po.record_timeline = false;
     (void)sim::run_price_based(sc.pop.users, sc.config.capacity,
                                sc.config.delay, po);
     return;
   }
   if (policy.token.kind == PolicyKind::kMinority) {
     sim::MinorityGameRunOptions mo;
+    static_cast<sim::RunOptions&>(mo) = run;
     mo.game.seed = cell.seed;
     mo.thresholds = std::move(values);
     mo.update_period = spec.window;
     mo.warmup = spec.warmup;
-    mo.horizon = spec.horizon;
-    mo.seed = cell.seed;
-    mo.topology = topology;
-    mo.faults = faults;
-    mo.shards = cell.shard_count;
-    mo.sample_interval = spec.window;
-    mo.stream_log = cell.path;
-    mo.stream_counters = false;
-    mo.record_timeline = false;
     (void)sim::run_minority_game(sc.pop.users, sc.config.capacity,
                                  sc.config.delay, mo);
     return;
   }
 
   sim::SimulationOptions so;
+  static_cast<sim::RunOptions&>(so) = run;
   so.warmup = spec.warmup;
-  so.horizon = spec.horizon;
-  so.seed = cell.seed;
-  so.sample_interval = spec.window;
-  so.shards = cell.shard_count;  // explicit: never MEC_SHARDS or autotune
-  so.stream_log = cell.path;
-  // Counter frames carry wall-clock diagnostics; leaving them out keeps a
-  // cell's .meclog byte-identical across reruns and shard counts.
-  so.stream_counters = false;
-  so.record_timeline = false;
-  so.faults = faults;
-  so.topology = topology;
   if (policy.quasi_stationary) so.fixed_gamma = policy.gamma_star;
 
   const sim::MecSimulation sim(sc.pop.users, sc.config.capacity,

@@ -21,13 +21,9 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   MEC_EXPECTS(options.epsilon > 0.0 && options.epsilon < 1.0);
   MEC_EXPECTS(options.drift_margin > 0.0);
 
-  // With churn, joining devices are appended to the population in schedule
-  // order (mirroring MecSimulation's constructor) and get their own policy.
-  std::vector<core::UserParams> all_users(users.begin(), users.end());
-  if (options.faults && !options.faults->empty()) {
-    const std::vector<core::UserParams> joiners = options.faults->churn_users();
-    all_users.insert(all_users.end(), joiners.begin(), joiners.end());
-  }
+  // With churn, joining devices get their own policy.
+  const std::vector<core::UserParams> all_users =
+      with_churn(users, options.faults);
 
   // Devices start at threshold 0 (offload everything), as in Algorithm 1.
   std::vector<std::unique_ptr<OffloadPolicy>> policies;
@@ -54,23 +50,9 @@ ClosedLoopResult run_closed_loop(std::span<const core::UserParams> users,
   ClosedLoopResult result;
 
   SimulationOptions sim_options;
+  static_cast<RunOptions&>(sim_options) = options;
   sim_options.warmup = 0.0;  // the whole run *is* the experiment
-  sim_options.horizon = options.horizon;
-  sim_options.seed = options.seed;
-  sim_options.service = options.service;
-  sim_options.latency = options.latency;
-  sim_options.utilization_ewma_tau = options.utilization_ewma_tau;
   sim_options.epoch_period = options.update_period;
-  sim_options.faults = options.faults;
-  sim_options.shards = options.shards;
-  sim_options.transport = options.transport;
-  sim_options.workers = options.workers;
-  sim_options.worker_addresses = options.worker_addresses;
-  sim_options.topology = options.topology;
-  sim_options.sample_interval = options.sample_interval;
-  sim_options.stream_log = options.stream_log;
-  sim_options.stream_counters = options.stream_counters;
-  sim_options.record_timeline = options.record_timeline;
   sim_options.on_epoch = [&](double now, double gamma_measured) {
     ++state.t;
     if (state.settled && options.resume_on_drift &&

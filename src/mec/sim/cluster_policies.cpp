@@ -45,17 +45,17 @@ std::string MinorityGatedPolicy::describe() const {
 
 namespace {
 
-/// Mirrors MecSimulation's churn handling: the policy vector must cover the
-/// initial population plus schedule-order joiners.
-std::vector<core::UserParams> with_churn(
-    std::span<const core::UserParams> users,
-    const std::shared_ptr<const fault::FaultSchedule>& faults) {
-  std::vector<core::UserParams> all(users.begin(), users.end());
-  if (faults && !faults->empty()) {
-    const std::vector<core::UserParams> joiners = faults->churn_users();
-    all.insert(all.end(), joiners.begin(), joiners.end());
-  }
-  return all;
+/// The driver's SimulationOptions: the caller's whole run block, plus the
+/// warm-up, the EWMA seed and the epoch cadence the cluster controllers
+/// share.
+template <class DriverOptions>
+SimulationOptions driver_sim_options(const DriverOptions& options) {
+  SimulationOptions so;
+  static_cast<RunOptions&>(so) = options;
+  so.warmup = options.warmup;
+  so.initial_gamma = options.initial_gamma;
+  so.epoch_period = options.update_period;
+  return so;
 }
 
 }  // namespace
@@ -69,6 +69,11 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
   MEC_EXPECTS(options.gamma_target > 0.0 && options.gamma_target <= 1.0);
   MEC_EXPECTS(options.price_step >= 0.0);
   MEC_EXPECTS(options.max_price >= 0.0);
+  if (options.transport != TransportKind::kInProcess)
+    throw RuntimeError(
+        "run_price_based: transport must be kInProcess (the price "
+        "controller has no byte-equality coverage across a process or "
+        "machine boundary)");
   options.topology.check();
 
   const std::vector<core::UserParams> all_users =
@@ -92,22 +97,7 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
 
   PriceBasedResult result;
 
-  SimulationOptions so;
-  so.warmup = options.warmup;
-  so.horizon = options.horizon;
-  so.seed = options.seed;
-  so.service = options.service;
-  so.latency = options.latency;
-  so.utilization_ewma_tau = options.utilization_ewma_tau;
-  so.initial_gamma = options.initial_gamma;
-  so.epoch_period = options.update_period;
-  so.topology = options.topology;
-  so.faults = options.faults;
-  so.shards = options.shards;
-  so.sample_interval = options.sample_interval;
-  so.stream_log = options.stream_log;
-  so.stream_counters = options.stream_counters;
-  so.record_timeline = options.record_timeline;
+  SimulationOptions so = driver_sim_options(options);
   so.on_cluster_epoch = [&](double /*now*/,
                             std::span<const double> cluster_gammas) {
     // Dual ascent on the per-cluster congestion prices, then one threshold
@@ -165,22 +155,7 @@ MinorityGameRunResult run_minority_game(
 
   MinorityGameRunResult result;
 
-  SimulationOptions so;
-  so.warmup = options.warmup;
-  so.horizon = options.horizon;
-  so.seed = options.seed;
-  so.service = options.service;
-  so.latency = options.latency;
-  so.utilization_ewma_tau = options.utilization_ewma_tau;
-  so.initial_gamma = options.initial_gamma;
-  so.epoch_period = options.update_period;
-  so.topology = options.topology;
-  so.faults = options.faults;
-  so.shards = options.shards;
-  so.sample_interval = options.sample_interval;
-  so.stream_log = options.stream_log;
-  so.stream_counters = options.stream_counters;
-  so.record_timeline = options.record_timeline;
+  SimulationOptions so = driver_sim_options(options);
   so.on_cluster_epoch = [&](double /*now*/,
                             std::span<const double> /*cluster_gammas*/) {
     const std::size_t attendance = game.step();

@@ -85,7 +85,11 @@ class MinorityGatedPolicy final : public OffloadPolicy {
 
 // --- price-based driver ----------------------------------------------------
 
-struct PriceBasedOptions {
+/// The shared run block plus the dual ascent's controls.  Initial prices
+/// come from topology.prices.  The price controller runs only in-process:
+/// a transport other than kInProcess is rejected at entry, since no
+/// byte-equality check covers it across a wire.
+struct PriceBasedOptions : RunOptions {
   /// Per-cluster utilization target of the dual ascent; the equilibrium
   /// gamma_star of the scenario is the natural choice.
   double gamma_target = 0.5;
@@ -93,19 +97,7 @@ struct PriceBasedOptions {
   double max_price = 50.0;   ///< clamp ceiling (floor is 0)
   double update_period = 5.0;
   double warmup = 0.0;
-  double horizon = 200.0;
-  std::uint64_t seed = 1;
-  ClusterTopology topology;  ///< initial prices come from topology.prices
-  SamplerSpec service;
-  SamplerSpec latency;
-  double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
-  std::shared_ptr<const fault::FaultSchedule> faults;
-  std::size_t shards = 0;
-  double sample_interval = 0.0;
-  std::string stream_log;
-  bool stream_counters = true;
-  bool record_timeline = true;
 };
 
 struct PriceBasedResult {
@@ -126,26 +118,17 @@ PriceBasedResult run_price_based(std::span<const core::UserParams> users,
 
 // --- minority-game driver --------------------------------------------------
 
-struct MinorityGameRunOptions {
+/// The shared run block plus the game and the gated thresholds.  Gated
+/// policies are not threshold rules, so a transport other than kInProcess
+/// is rejected before any rank starts (engine::mirror_thresholds).
+struct MinorityGameRunOptions : RunOptions {
   MinorityGameConfig game;  ///< agents is overwritten with topology.clusters
   /// Per-device TRO thresholds applied while the device's cluster is
   /// active; must cover the population incl. churn joiners.
   std::vector<double> thresholds;
   double update_period = 5.0;
   double warmup = 0.0;
-  double horizon = 200.0;
-  std::uint64_t seed = 1;
-  ClusterTopology topology;
-  SamplerSpec service;
-  SamplerSpec latency;
-  double utilization_ewma_tau = 10.0;
   double initial_gamma = 0.0;
-  std::shared_ptr<const fault::FaultSchedule> faults;
-  std::size_t shards = 0;
-  double sample_interval = 0.0;
-  std::string stream_log;
-  bool stream_counters = true;
-  bool record_timeline = true;
 };
 
 struct MinorityGameRunResult {

@@ -36,14 +36,26 @@ SimulationResult dispatch_run(const std::vector<core::UserParams>& users,
 
 }  // namespace
 
+std::vector<core::UserParams> with_churn(
+    std::span<const core::UserParams> users,
+    const std::shared_ptr<const fault::FaultSchedule>& faults) {
+  std::vector<core::UserParams> all(users.begin(), users.end());
+  if (faults && !faults->empty()) {
+    const std::vector<core::UserParams> joiners = faults->churn_users();
+    all.insert(all.end(), joiners.begin(), joiners.end());
+  }
+  return all;
+}
+
 MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                              double capacity, core::EdgeDelay delay,
                              SimulationOptions options)
-    : users_(users.begin(), users.end()),
+    : users_(with_churn(users, options.faults)),
+      n_initial_(users.size()),
       capacity_(capacity),
       delay_(std::move(delay)),
       options_(std::move(options)) {
-  MEC_EXPECTS(!users_.empty());
+  MEC_EXPECTS(n_initial_ > 0);
   MEC_EXPECTS(capacity_ > 0.0);
   MEC_EXPECTS(delay_.valid());
   MEC_EXPECTS(options_.warmup >= 0.0);
@@ -70,15 +82,12 @@ MecSimulation::MecSimulation(std::span<const core::UserParams> users,
                       !options_.worker_addresses.empty(),
                   "transport=tcp needs worker_addresses (one host:port per "
                   "rank)");
-  n_initial_ = users_.size();
   if (options_.faults && !options_.faults->empty()) {
     options_.faults->check(n_initial_);
     for (const fault::FaultAction& a : options_.faults->actions())
       MEC_EXPECTS_MSG(a.cluster == fault::FaultAction::kAllClusters ||
                           a.cluster < options_.topology.clusters,
                       "fault action targets a cluster outside the topology");
-    const std::vector<core::UserParams> joiners = options_.faults->churn_users();
-    users_.insert(users_.end(), joiners.begin(), joiners.end());
     if (options_.faults->size() > EventQueue::kMaxDevices)
       throw RuntimeError(
           "fault schedule has " + std::to_string(options_.faults->size()) +

@@ -50,15 +50,18 @@ enum class TransportKind {
   /// virtual non-TRO policies cannot be mirrored across a process boundary.
   kProcess,
   /// Ranks live in `mec worker` daemons reached over TCP
-  /// (SimulationOptions::worker_addresses, one rank per address); the same
+  /// (RunOptions::worker_addresses, one rank per address); the same
   /// wire dialect, population frames and rank entry as kProcess, plus a
   /// versioned handshake.  Requires per-device TRO thresholds like
   /// kProcess.
   kTcp,
 };
 
-struct SimulationOptions {
-  double warmup = 20.0;    ///< discarded transient, in simulated seconds
+/// The settings every run takes from its caller, whichever policy drives
+/// it.  SimulationOptions and the closed-loop, price-based and minority-game
+/// driver options all derive from this block, so each setting is declared
+/// once and a driver hands it to the engine whole, as one base-slice copy.
+struct RunOptions {
   double horizon = 200.0;  ///< measurement window length
   std::uint64_t seed = 1;
   /// Local service and wireless latency samplers (exponential by default;
@@ -66,31 +69,9 @@ struct SimulationOptions {
   /// recipe: ranks behind a wire rebuild them from their population frame.
   SamplerSpec service;
   SamplerSpec latency;
-  /// If set, the edge delay uses this constant utilization (quasi-stationary
-  /// evaluation); otherwise an online EWMA estimate with time constant
-  /// `utilization_ewma_tau` is used, seeded from `initial_gamma`.
-  std::optional<double> fixed_gamma;
+  /// Time constant of the online EWMA utilization estimate that drives the
+  /// edge delay (unless SimulationOptions::fixed_gamma pins it).
   double utilization_ewma_tau = 10.0;
-  double initial_gamma = 0.0;
-  /// When > 0, the run records a TimelinePoint every `sample_interval`
-  /// simulated seconds (from time 0 through warm-up and measurement).
-  double sample_interval = 0.0;
-  /// When > 0 and on_epoch is set, the engine invokes on_epoch(now, gamma)
-  /// every `epoch_period` simulated seconds, where gamma is the engine's
-  /// current utilization estimate.  The callback may retune
-  /// MutableTroPolicy thresholds — this is how the closed-loop DTU runs
-  /// *inside* the simulator (see mec/sim/closed_loop.hpp).
-  double epoch_period = 0.0;
-  std::function<void(double now, double gamma_estimate)> on_epoch;
-  /// Per-cluster epoch hook: invoked at every epoch instant with the
-  /// per-cluster utilization estimates (one entry per topology cluster;
-  /// the fixed_gamma value replicated per cluster in quasi-stationary
-  /// mode).  Controllers mutating policy-visible state (prices, cluster
-  /// activation flags) must do so only here — epoch instants are shard
-  /// barriers, which is what keeps the new policy families bit-identical
-  /// across shard counts.  May be combined with on_epoch (it fires after).
-  std::function<void(double now, std::span<const double> cluster_gammas)>
-      on_cluster_epoch;
   /// Edge-cluster layout (defaults to one cluster covering the whole
   /// capacity — the scalar-gamma engine, bit-for-bit).  Devices route to
   /// cluster `device % clusters`; cluster k owns capacity
@@ -111,7 +92,8 @@ struct SimulationOptions {
   ///     FaultStats::tasks_lost) and stop its arrivals until a restart.
   ///   - Churn joins append devices after the initial population, in
   ///     schedule order; policy/threshold spans must cover them (see
-  ///     total_devices()).  Departures retire an active device for good.
+  ///     total_devices() and with_churn()).  Departures retire an active
+  ///     device for good.
   std::shared_ptr<const fault::FaultSchedule> faults;
   /// Shard count for the run's device partition: an explicit value >= 1
   /// wins; 0 (default) defers to the MEC_SHARDS environment variable, and
@@ -135,23 +117,61 @@ struct SimulationOptions {
   /// shard).  Shard slices follow the same [K*r/W, K*(r+1)/W) rule, so any
   /// placement streams the exact inproc bytes.
   std::vector<std::string> worker_addresses;
+  /// When > 0, the run records a TimelinePoint every `sample_interval`
+  /// simulated seconds (from time 0 through warm-up and measurement).
+  double sample_interval = 0.0;
   /// When non-empty, the run streams windowed telemetry to this .meclog
   /// path: one fixed-size window record per sample instant, flushed at the
   /// observation-grid barrier (see src/mec/obs/ and docs/OBSERVABILITY.md).
   /// Requires sample_interval > 0.  Window records are bit-identical to
   /// the in-memory timeline for every shard count.
   std::string stream_log;
-  /// Emit engine-counter frames (events/s per shard, queue gear switches,
-  /// barrier wait, replay backlog, ...) into the stream log.  Counter
-  /// frames are wall-clock diagnostics — useful, but not deterministic.
-  /// No effect without stream_log, or when the build has the
-  /// MEC_OBS_COUNTERS CMake option off.
+  /// Emit engine-counter frames (events/s per shard, queue depth, barrier
+  /// wait, replay backlog, ...) into the stream log.  Counter frames are
+  /// wall-clock diagnostics — useful, but not deterministic.  No effect
+  /// without stream_log, or when the build has the MEC_OBS_COUNTERS CMake
+  /// option off.
   bool stream_counters = true;
   /// Record the in-memory SimulationResult::timeline.  Default on; long
   /// streamed runs turn it off so telemetry memory stays O(devices + one
   /// window) instead of O(samples).
   bool record_timeline = true;
 };
+
+/// A directly-configured run: the shared block plus the warm-up, the
+/// utilization model's fixed point or seed, and the epoch hooks a policy
+/// driver installs.
+struct SimulationOptions : RunOptions {
+  double warmup = 20.0;  ///< discarded transient, in simulated seconds
+  /// If set, the edge delay uses this constant utilization (quasi-stationary
+  /// evaluation); otherwise the online EWMA estimate is used, seeded from
+  /// `initial_gamma`.
+  std::optional<double> fixed_gamma;
+  double initial_gamma = 0.0;
+  /// When > 0 and on_epoch is set, the engine invokes on_epoch(now, gamma)
+  /// every `epoch_period` simulated seconds, where gamma is the engine's
+  /// current utilization estimate.  The callback may retune
+  /// MutableTroPolicy thresholds — this is how the closed-loop DTU runs
+  /// *inside* the simulator (see mec/sim/closed_loop.hpp).
+  double epoch_period = 0.0;
+  std::function<void(double now, double gamma_estimate)> on_epoch;
+  /// Per-cluster epoch hook: invoked at every epoch instant with the
+  /// per-cluster utilization estimates (one entry per topology cluster;
+  /// the fixed_gamma value replicated per cluster in quasi-stationary
+  /// mode).  Controllers mutating policy-visible state (prices, cluster
+  /// activation flags) must do so only here — epoch instants are shard
+  /// barriers, which is what keeps the new policy families bit-identical
+  /// across shard counts.  May be combined with on_epoch (it fires after).
+  std::function<void(double now, std::span<const double> cluster_gammas)>
+      on_cluster_epoch;
+};
+
+/// The initial population followed by the churn joiners of `faults` in
+/// schedule order — the device order of every run (policy and threshold
+/// spans must cover it).
+std::vector<core::UserParams> with_churn(
+    std::span<const core::UserParams> users,
+    const std::shared_ptr<const fault::FaultSchedule>& faults);
 
 /// Reusable per-run simulation state (device states, RNG streams, the
 /// future-event list).  A default-constructed workspace is empty; the first
@@ -167,8 +187,8 @@ class SimWorkspace {
   SimWorkspace(SimWorkspace&&) noexcept;
   SimWorkspace& operator=(SimWorkspace&&) noexcept;
 
-  /// Opaque buffer block (defined in mec_simulation.cpp; the event loop
-  /// there takes it by reference, which is why it cannot be private).
+  /// Opaque buffer block (defined in sim/workspace.hpp; the engine layers
+  /// take it by reference, which is why it cannot be private).
   struct Impl;
 
  private:
@@ -207,7 +227,6 @@ class MecSimulation {
   SimulationResult run_dpo(std::span<const double> rhos) const;
 
   /// Initial population plus any churn users from the fault schedule.
-  std::size_t population_size() const noexcept { return users_.size(); }
   std::size_t total_devices() const noexcept { return users_.size(); }
   /// The population passed to the constructor (pre-churn).
   std::size_t initial_devices() const noexcept { return n_initial_; }

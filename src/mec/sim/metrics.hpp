@@ -23,7 +23,7 @@ struct DeviceStats {
 };
 
 /// One sampled point of the system's trajectory (telemetry; see
-/// SimulationOptions::sample_interval).
+/// RunOptions::sample_interval).
 ///
 /// Semantics: every field is the state *as of the scheduled sample time*,
 /// taken as a left limit.  Samples are physically flushed when the engine

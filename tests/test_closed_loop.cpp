@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "mec/common/error.hpp"
 #include "mec/core/mfne.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/random/empirical_data.hpp"
@@ -49,8 +51,22 @@ TEST(ClosedLoop, EpochTraceFollowsAlgorithmOneStructure) {
   opt.horizon = 300.0;
   opt.update_period = 4.0;
   opt.eta0 = 0.2;
+  // Telemetry settings reach the engine: a streamed run with counter frames
+  // and the in-memory timeline both turned off.
+  opt.sample_interval = 4.0;
+  opt.stream_log =
+      (std::filesystem::temp_directory_path() / "mec_closed_loop_trace.meclog")
+          .string();
+  opt.stream_counters = false;
+  opt.record_timeline = false;
   const ClosedLoopResult r =
       run_closed_loop(pop.users, cfg.capacity, cfg.delay, opt);
+  EXPECT_TRUE(r.run.timeline.empty());
+  const obs::LogScan scan = obs::scan_log(opt.stream_log);
+  EXPECT_TRUE(scan.complete()) << scan.error;
+  EXPECT_FALSE(scan.windows.empty());
+  EXPECT_TRUE(scan.counters.empty());
+  std::filesystem::remove(opt.stream_log);
   ASSERT_GE(r.epochs.size(), 10u);
   // Epochs land on the broadcast grid.
   EXPECT_DOUBLE_EQ(r.epochs[0].time, 4.0);

@@ -15,10 +15,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "mec/common/error.hpp"
 #include "mec/core/edge_delay.hpp"
 #include "mec/core/mfne.hpp"
+#include "mec/obs/run_log.hpp"
 #include "mec/population/population.hpp"
 #include "mec/population/scenario.hpp"
 #include "mec/sim/cluster_policies.hpp"
@@ -58,6 +62,37 @@ sim::PriceBasedOptions price_options(const PriceFixture& f) {
   return po;
 }
 
+/// Temp .meclog path namespaced by the running test, so parallel ctest
+/// processes never collide.
+std::string scoped_log_path() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::temp_directory_path() /
+          (std::string("mec_") + info->test_suite_name() + "_" + info->name() +
+           ".meclog"))
+      .string();
+}
+
+/// Points `run` at a test-scoped stream log (5 s windows) with counter
+/// frames and the in-memory timeline turned off.
+void stream_without_counters(sim::RunOptions& run) {
+  run.sample_interval = 5.0;
+  run.stream_log = scoped_log_path();
+  run.stream_counters = false;
+  run.record_timeline = false;
+}
+
+/// The settings above reached the engine: the log has windows but no
+/// counter frames, and no timeline was kept.
+void expect_streamed_without_counters(const sim::RunOptions& run,
+                                      const sim::SimulationResult& result) {
+  EXPECT_TRUE(result.timeline.empty());
+  const obs::LogScan scan = obs::scan_log(run.stream_log);
+  EXPECT_TRUE(scan.complete()) << scan.error;
+  EXPECT_FALSE(scan.windows.empty());
+  EXPECT_TRUE(scan.counters.empty());
+  std::filesystem::remove(run.stream_log);
+}
+
 /// Mean |gamma_k - target| over the last `tail` epochs, worst cluster.
 double tail_deviation(const sim::PriceBasedResult& r, double target,
                       std::size_t tail) {
@@ -76,9 +111,11 @@ double tail_deviation(const sim::PriceBasedResult& r, double target,
 
 TEST(PriceBasedPolicy, ConvergesToEquilibriumOnSymmetricTwoClusters) {
   const PriceFixture f = price_fixture();
-  const sim::PriceBasedOptions po = price_options(f);
+  sim::PriceBasedOptions po = price_options(f);
+  stream_without_counters(po);
   const sim::PriceBasedResult r = sim::run_price_based(
       f.pop.users, f.pop.config.capacity, f.pop.config.delay, po);
+  expect_streamed_without_counters(po, r.run);
 
   ASSERT_EQ(r.final_prices.size(), 2u);
   ASSERT_FALSE(r.gamma_epochs.empty());
@@ -254,9 +291,10 @@ TEST(MinorityGameDriver, EpochAttendanceMatchesStandaloneGame) {
   mo.horizon = 80.0;
   mo.seed = 77;
   mo.topology.clusters = 4;
-  mo.record_timeline = false;
+  stream_without_counters(mo);
   const sim::MinorityGameRunResult r = sim::run_minority_game(
       pop.users, pop.config.capacity, pop.config.delay, mo);
+  expect_streamed_without_counters(mo, r.run);
 
   ASSERT_FALSE(r.attendance.empty());
   sim::MinorityGameConfig ref_cfg = mo.game;
@@ -273,6 +311,50 @@ TEST(MinorityGameDriver, EpochAttendanceMatchesStandaloneGame) {
   for (const std::size_t a : r.attendance) EXPECT_LE(a, 4u);
   EXPECT_GT(r.run.mean_cost, 0.0);
   ASSERT_EQ(r.run.cluster_utilization.size(), 4u);
+}
+
+/// Streams `run` to a test-scoped log over the process transport.
+void use_process_transport(sim::RunOptions& run) {
+  run.shards = 2;
+  run.sample_interval = 5.0;
+  run.stream_log = scoped_log_path();
+  run.transport = sim::TransportKind::kProcess;
+}
+
+// Neither cluster driver runs behind a wire: the price driver refuses a
+// wire transport at entry, and the minority game's gated policies fail the
+// mirrored-threshold check.  Both throw before any rank is forked or the
+// stream log is opened.
+TEST(MinorityGameDriver, WireTransportsAreRejectedBeforeAnyRankStarts) {
+  const PriceFixture f = price_fixture(20);
+  sim::PriceBasedOptions po = price_options(f);
+  use_process_transport(po);
+  try {
+    (void)sim::run_price_based(f.pop.users, f.pop.config.capacity,
+                               f.pop.config.delay, po);
+    ADD_FAILURE() << "the price driver accepted transport=process";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("transport must be kInProcess"), std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(po.stream_log));
+
+  sim::MinorityGameRunOptions mo;
+  mo.thresholds.assign(f.mfne.thresholds.begin(), f.mfne.thresholds.end());
+  mo.topology.clusters = 2;
+  use_process_transport(mo);
+  try {
+    (void)sim::run_minority_game(f.pop.users, f.pop.config.capacity,
+                                 f.pop.config.delay, mo);
+    ADD_FAILURE() << "the minority driver accepted transport=process";
+  } catch (const RuntimeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("requires per-device TRO thresholds"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(mo.stream_log));
 }
 
 }  // namespace

@@ -175,6 +175,23 @@ void parse_workers_flag(const io::Args& args, sim::TransportKind transport,
   workers = static_cast<std::size_t>(args.get_long("workers", 0));
 }
 
+/// Flags shared by `simulate` and `closedloop`: they fill the RunOptions
+/// block every run takes, whatever policy drives it.
+const std::set<std::string> kRunFlags = {"shards", "stream-log", "window",
+                                         "transport", "workers", "counters"};
+
+/// Reads the seed and kRunFlags into `run`.
+void read_run_flags(const io::Args& args, sim::RunOptions& run) {
+  run.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
+  run.shards = static_cast<std::size_t>(args.get_long("shards", 0));
+  run.stream_log = args.get_path("stream-log");
+  if (args.has("window") || !run.stream_log.empty())
+    run.sample_interval = args.get_double("window", 1.0);
+  run.transport = parse_transport(args.get_string("transport", "inproc"));
+  parse_workers_flag(args, run.transport, run.workers, run.worker_addresses);
+  run.stream_counters = args.get_long("counters", 1) != 0;
+}
+
 population::LoadRegime parse_regime(const std::string& name) {
   if (name == "low") return population::LoadRegime::kBelowService;
   if (name == "eq") return population::LoadRegime::kAtService;
@@ -373,12 +390,11 @@ int cmd_dtu(const io::Args& args) {
 
 int cmd_simulate(const io::Args& args) {
   auto known = kCommonFlags;
+  known.insert(kRunFlags.begin(), kRunFlags.end());
   known.insert({"horizon", "warmup", "service", "replications", "threads",
-                "confidence", "fault-schedule", "shards", "stream-log",
-                "window", "target-ci", "target-rel", "max-replications",
-                "wave", "metric", "clusters", "topology", "policy",
-                "gamma-target", "update-period", "transport", "workers",
-                "counters"});
+                "confidence", "fault-schedule", "target-ci", "target-rel",
+                "max-replications", "wave", "metric", "clusters", "topology",
+                "policy", "gamma-target", "update-period"});
   args.reject_unknown(known);
   const auto cfg = build_scenario(args);
   const auto pop = population::sample_population(
@@ -392,16 +408,9 @@ int cmd_simulate(const io::Args& args) {
   so.topology = topology;
   so.horizon = args.get_double("horizon", 200.0);
   so.warmup = args.get_double("warmup", 20.0);
-  so.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
   so.fixed_gamma = mfne.gamma_star;
   so.faults = faults;
-  so.shards = static_cast<std::size_t>(args.get_long("shards", 0));
-  so.stream_log = args.get_path("stream-log");
-  if (args.has("window") || !so.stream_log.empty())
-    so.sample_interval = args.get_double("window", 1.0);
-  so.transport = parse_transport(args.get_string("transport", "inproc"));
-  parse_workers_flag(args, so.transport, so.workers, so.worker_addresses);
-  so.stream_counters = args.get_long("counters", 1) != 0;
+  read_run_flags(args, so);
   const std::string service = args.get_string("service", "exp");
   if (service == "erlang4") {
     so.service.kind = sim::SamplerSpec::Kind::kErlang;
@@ -426,11 +435,6 @@ int cmd_simulate(const io::Args& args) {
   const std::string policy = args.get_string("policy", "tro");
   if (policy != "tro" && policy != "price" && policy != "minority")
     throw RuntimeError("unknown --policy (tro|price|minority)");
-  if (so.transport != sim::TransportKind::kInProcess && policy != "tro")
-    throw RuntimeError(
-        "--transport=process and --transport=tcp require --policy=tro (the "
-        "price and minority controllers retune virtual policies that cannot "
-        "cross a process or machine boundary)");
   if (policy != "tro") {
     if (args.has("replications") || args.has("target-ci") ||
         args.has("target-rel"))
@@ -439,17 +443,10 @@ int cmd_simulate(const io::Args& args) {
                          "combine with replications or sequential stopping");
     if (policy == "price") {
       sim::PriceBasedOptions po;
+      static_cast<sim::RunOptions&>(po) = so;
       po.gamma_target = args.get_double("gamma-target", mfne.gamma_star);
       po.update_period = args.get_double("update-period", 5.0);
       po.warmup = so.warmup;
-      po.horizon = so.horizon;
-      po.seed = so.seed;
-      po.topology = topology;
-      po.service = so.service;
-      po.faults = faults;
-      po.shards = so.shards;
-      po.sample_interval = so.sample_interval;
-      po.stream_log = so.stream_log;
       const sim::PriceBasedResult r =
           sim::run_price_based(pop.users, cfg.capacity, cfg.delay, po);
       std::printf(
@@ -468,18 +465,11 @@ int cmd_simulate(const io::Args& args) {
       return 0;
     }
     sim::MinorityGameRunOptions mo;
+    static_cast<sim::RunOptions&>(mo) = so;
     mo.game.seed = so.seed;
     mo.thresholds = xs;
     mo.update_period = args.get_double("update-period", 5.0);
     mo.warmup = so.warmup;
-    mo.horizon = so.horizon;
-    mo.seed = so.seed;
-    mo.topology = topology;
-    mo.service = so.service;
-    mo.faults = faults;
-    mo.shards = so.shards;
-    mo.sample_interval = so.sample_interval;
-    mo.stream_log = so.stream_log;
     const sim::MinorityGameRunResult r =
         sim::run_minority_game(pop.users, cfg.capacity, cfg.delay, mo);
     std::printf(
@@ -562,9 +552,9 @@ int cmd_simulate(const io::Args& args) {
 
 int cmd_closedloop(const io::Args& args) {
   auto known = kCommonFlags;
+  known.insert(kRunFlags.begin(), kRunFlags.end());
   known.insert({"horizon", "period", "eta0", "epsilon", "async", "trace",
-                "fault-schedule", "drift-margin", "csv", "shards",
-                "stream-log", "window", "transport", "workers", "counters"});
+                "fault-schedule", "drift-margin", "csv"});
   args.reject_unknown(known);
   const auto cfg = build_scenario(args);
   const auto pop = population::sample_population(
@@ -577,14 +567,7 @@ int cmd_closedloop(const io::Args& args) {
   opt.horizon = args.get_double("horizon", opt.horizon);
   opt.eta0 = args.get_double("eta0", opt.eta0);
   opt.epsilon = args.get_double("epsilon", opt.epsilon);
-  opt.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-  opt.shards = static_cast<std::size_t>(args.get_long("shards", 0));
-  opt.stream_log = args.get_path("stream-log");
-  if (args.has("window") || !opt.stream_log.empty())
-    opt.sample_interval = args.get_double("window", 1.0);
-  opt.transport = parse_transport(args.get_string("transport", "inproc"));
-  parse_workers_flag(args, opt.transport, opt.workers, opt.worker_addresses);
-  opt.stream_counters = args.get_long("counters", 1) != 0;
+  read_run_flags(args, opt);
   const double async = args.get_double("async", 1.0);
   if (async < 1.0) opt.update_gate = core::make_bernoulli_gate(async, 1);
   opt.faults = build_faults(args, cfg);
